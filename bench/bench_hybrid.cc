@@ -1,34 +1,22 @@
-// bench_shard_scale — the sharded (PDES) engine and the hybrid-fidelity
-// cross-traffic model, measured.
+// bench_hybrid — the hybrid-fidelity cross-traffic model, measured.
 //
-// Two sections:
+// A ~million-cross-flow workload simulated twice — full packet-level
+// (organic TCP transfers) vs flow-level fluid aggregates
+// (flow/flow_traffic.h) — with identical probe meshes. Reports the
+// event-count ratio (the whole point of hybrid fidelity: the fluid model
+// costs ~2 events per cross flow instead of 2 per *packet*) and the probe
+// completion percentiles under both, which must agree within noise.
 //
-//   1. Shard scaling: one fixed multi-PoP world run under the sharded
-//      engine at 1/2/4/8 worker shards. Reports events/sec and wall
-//      seconds per shard count, plus a metrics digest that must be
-//      identical across counts (the engine's determinism contract; the
-//      authoritative check is ShardedDeterminismTest).
-//
-//   2. Hybrid fidelity: a ~million-cross-flow workload simulated twice —
-//      full packet-level (organic TCP transfers) vs flow-level fluid
-//      aggregates (flow/flow_traffic.h) — with identical probe meshes.
-//      Reports the event-count ratio (the whole point of hybrid fidelity:
-//      the fluid model costs ~2 events per cross flow instead of 2 per
-//      *packet*) and the probe completion percentiles under both, which
-//      must agree within noise.
-//
-// Usage: bench_shard_scale [--quick] [--json]
-//   --quick   scale durations/rates down ~10x for CI smoke (the emitted
-//             numbers are then not comparable with the checked-in
-//             BENCH_shard.json)
+// Usage: bench_hybrid [--quick] [--json]
+//   --quick   scale durations down 10x for CI smoke (the emitted numbers
+//             are then not comparable with the checked-in
+//             BENCH_hybrid.json)
 //   --json    print the machine-readable JSON document on stdout after
 //             the human-readable summary (redirect as needed)
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <string>
-#include <vector>
 
 #include "cdn/experiment.h"
 #include "cdn/pops.h"
@@ -46,30 +34,13 @@ double wall_now() {
       .count();
 }
 
-// Order-insensitive digest of the probe flow records: equal digests across
-// shard counts is the cheap in-bench echo of the fingerprint invariant.
-std::uint64_t metrics_digest(const cdn::Experiment& exp) {
-  std::uint64_t d = 0xcbf29ce484222325ull;
-  for (const auto& f : exp.metrics().flows()) {
-    d ^= static_cast<std::uint64_t>(f.duration.ns()) +
-         static_cast<std::uint64_t>(f.started.ns()) * 1315423911ull +
-         f.object_bytes;
-    d *= 0x100000001b3ull;
-  }
-  return d;
-}
-
 struct RunCost {
   std::uint64_t events = 0;
-  std::uint64_t wire_packets = 0;
-  std::uint64_t windows = 0;
   std::uint64_t flow_arrivals = 0;
   double wall_seconds = 0;
 };
 
-// Runs one experiment and captures the perf-counter deltas. Sharded runs
-// fold worker-thread counters into the caller, so the deltas cover the
-// whole execution either way.
+// Runs one experiment and captures the perf-counter deltas.
 RunCost run_and_measure(cdn::Experiment& exp) {
   const perf::Counters before = perf::local();
   const double t0 = wall_now();
@@ -78,8 +49,6 @@ RunCost run_and_measure(cdn::Experiment& exp) {
   cost.wall_seconds = wall_now() - t0;
   const perf::Counters delta = perf::local().delta_since(before);
   cost.events = delta.events_dispatched;
-  cost.wire_packets = delta.shard_wire_packets;
-  cost.windows = delta.shard_windows;
   cost.flow_arrivals = delta.flow_level_flows;
   return cost;
 }
@@ -90,26 +59,6 @@ double probe_p(const cdn::Experiment& exp, std::uint64_t size, double pct) {
   return cdf.empty() ? 0.0 : cdf.percentile(pct);
 }
 
-// -- Section 1: shard scaling world ----------------------------------------
-
-cdn::ExperimentConfig scaling_config(bool quick) {
-  cdn::ExperimentConfig config;
-  const auto& all = cdn::default_pop_specs();
-  config.pop_specs.assign(all.begin(), all.begin() + 8);
-  config.topology.hosts_per_pop = 2;
-  config.topology.wan_loss_probability = 2e-4;
-  config.riptide_enabled = true;
-  config.riptide.update_interval = Time::seconds(1);
-  config.probe.interval = Time::seconds(2);
-  config.probe.idle_close = Time::seconds(10);
-  config.duration = quick ? Time::seconds(30) : Time::seconds(180);
-  config.cwnd_sample_interval = Time::seconds(15);
-  config.seed = 7;
-  return config;
-}
-
-// -- Section 2: million-cross-flow world -----------------------------------
-//
 // 4 PoPs, full probe mesh, cross traffic on all 12 directed WAN pairs.
 // Packet level: one organic TCP source per PoP pushing size-distributed
 // transfers to random peers. Hybrid: the fluid model at the same flow
@@ -194,42 +143,7 @@ int main(int argc, char** argv) {
                        "meaningless. Use -DCMAKE_BUILD_TYPE=Release.\n");
 #endif
 
-  // ---- Section 1: shard scaling ----
-  std::printf("== shard scaling: 8 PoPs x 2 hosts, %s ==\n",
-              quick ? "30 s (quick)" : "180 s");
-  std::printf("  %7s %14s %12s %10s %8s %18s\n", "shards", "events",
-              "events/sec", "wall s", "windows", "digest");
-  struct ScaleRow {
-    std::size_t shards;
-    RunCost cost;
-    std::uint64_t digest;
-  };
-  std::vector<ScaleRow> scale_rows;
-  bool digests_match = true;
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                             std::size_t{8}}) {
-    cdn::ExperimentConfig config = scaling_config(quick);
-    config.sharding.enabled = true;
-    config.sharding.shards = shards;
-    cdn::Experiment exp(config);
-    const RunCost cost = run_and_measure(exp);
-    const std::uint64_t digest = metrics_digest(exp);
-    if (!scale_rows.empty() && digest != scale_rows.front().digest) {
-      digests_match = false;
-    }
-    std::printf("  %7zu %14llu %12.0f %10.3f %8llu   %016llx\n", shards,
-                static_cast<unsigned long long>(cost.events),
-                static_cast<double>(cost.events) / cost.wall_seconds,
-                cost.wall_seconds,
-                static_cast<unsigned long long>(cost.windows),
-                static_cast<unsigned long long>(digest));
-    scale_rows.push_back({shards, cost, digest});
-  }
-  std::printf("  metrics digests %s across shard counts\n",
-              digests_match ? "IDENTICAL" : "DIVERGED (BUG)");
-
-  // ---- Section 2: hybrid fidelity ----
-  std::printf("\n== hybrid fidelity: 4 PoPs, ~%s cross flows, %s ==\n",
+  std::printf("== hybrid fidelity: 4 PoPs, ~%s cross flows, %s ==\n",
               quick ? "100k" : "1M", quick ? "60 s (quick)" : "600 s");
 
   cdn::ExperimentConfig pkt_config = packet_level_config(quick);
@@ -268,22 +182,8 @@ int main(int argc, char** argv) {
               ratio);
 
   if (json) {
-    std::printf("{\"bench\":\"shard_scale\",\"build\":\"%s\",\"quick\":%s,"
-                "\"scaling\":[",
-                build, quick ? "true" : "false");
-    for (std::size_t i = 0; i < scale_rows.size(); ++i) {
-      const ScaleRow& r = scale_rows[i];
-      std::printf("%s{\"shards\":%zu,\"events\":%llu,"
-                  "\"events_per_sec\":%.0f,\"wall_seconds\":%.3f,"
-                  "\"windows\":%llu,\"wire_packets\":%llu}",
-                  i == 0 ? "" : ",", r.shards,
-                  static_cast<unsigned long long>(r.cost.events),
-                  static_cast<double>(r.cost.events) / r.cost.wall_seconds,
-                  r.cost.wall_seconds,
-                  static_cast<unsigned long long>(r.cost.windows),
-                  static_cast<unsigned long long>(r.cost.wire_packets));
-    }
-    std::printf("],\"digests_match\":%s,\"hybrid\":{"
+    std::printf("{\"bench\":\"hybrid\",\"build\":\"%s\",\"quick\":%s,"
+                "\"hybrid\":{"
                 "\"packet_level\":{\"events\":%llu,\"cross_flows\":%llu,"
                 "\"wall_seconds\":%.2f,\"probe_p50_ms\":%.1f,"
                 "\"probe_p90_ms\":%.1f},"
@@ -291,7 +191,7 @@ int main(int argc, char** argv) {
                 "\"wall_seconds\":%.2f,\"probe_p50_ms\":%.1f,"
                 "\"probe_p90_ms\":%.1f,\"fluid_arrivals\":%llu},"
                 "\"event_ratio\":%.2f}}\n",
-                digests_match ? "true" : "false",
+                build, quick ? "true" : "false",
                 static_cast<unsigned long long>(pkt_cost.events),
                 static_cast<unsigned long long>(pkt_flows),
                 pkt_cost.wall_seconds, probe_p(pkt, 100'000, 50),
@@ -303,5 +203,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(hyb_cost.flow_arrivals),
                 ratio);
   }
-  return digests_match ? 0 : 1;
+  return 0;
 }

@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
-
-#include "cdn/partition.h"
 
 namespace riptide::cdn {
 
-namespace {
-
-// Per-cell trace export path: "{cell}" in the configured path is replaced
-// with the cell index; without the placeholder a ".cell<i>" suffix is
-// appended so sharded runs never overwrite each other's files.
-std::string cell_trace_path(const std::string& base, std::size_t cell) {
-  std::string out = base;
-  const std::string token = "{cell}";
-  const auto pos = out.find(token);
-  if (pos != std::string::npos) {
-    out.replace(pos, token.size(), std::to_string(cell));
-    return out;
-  }
-  return out + ".cell" + std::to_string(cell);
-}
-
-}  // namespace
-
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
-  if (config_.sharding.enabled) {
-    build_sharded();
-  } else {
-    build();
-  }
+  build();
 }
 
 void Experiment::build() {
@@ -155,11 +130,8 @@ void Experiment::build() {
         }
       });
 
-  if (config_.extension_factory) {
-    extension_ = config_.extension_factory(*this);
-  }
   for (const auto& factory : config_.extension_factories) {
-    if (factory) extensions_.push_back(factory(*this));
+    extensions_.push_back(factory ? factory(*this) : nullptr);
   }
 }
 
@@ -218,176 +190,7 @@ void Experiment::build_hostile() {
   }
 }
 
-// Sharded twin of build(): the same construction loops in the same order,
-// but every PoP-owned object is created against its cell's simulator and
-// the per-cell deterministic streams. Kept as a separate function (rather
-// than threading cell lookups through build()) so the monolithic path
-// stays textually untouched — its fixed-seed fingerprint is a golden
-// value.
-void Experiment::build_sharded() {
-  const std::size_t n = config_.pop_specs.size();
-  const std::size_t workers = config_.sharding.shards;
-  if (workers < 1 || workers > n) {
-    throw std::invalid_argument(
-        "Experiment: sharding.shards must be in [1, pop count]");
-  }
-  if (config_.route_programmer_factory || config_.socket_stats_factory ||
-      config_.extension_factory || !config_.extension_factories.empty()) {
-    // The factories hand out objects bound to "the" simulator and are used
-    // by fault/persistence harnesses that mutate state from outside the
-    // cells; neither has a sound meaning across shard boundaries.
-    throw std::invalid_argument(
-        "Experiment: dependency-injection factories are not supported with "
-        "sharding");
-  }
-  if (config_.hostile.kind != HostileKind::kNone) {
-    // A synchronized wave crossing every shard boundary in the same
-    // instant is exactly what the conservative window cannot express.
-    throw std::invalid_argument(
-        "Experiment: hostile scenarios are not supported with sharding");
-  }
-
-  const ShardPartition part = partition_pops(
-      config_.pop_specs, config_.topology.path_inflation, workers);
-  fabric_ = std::make_unique<net::WireFabric>(n);
-  shards_ = std::make_unique<sim::ShardSet>(n, workers, part.lookahead);
-  shards_->set_flush_hook([this](std::size_t cell, sim::Simulator& sim) {
-    fabric_->flush_to(cell, sim);
-  });
-  // Install the cell's trace sink (if any) around every slice of cell work
-  // so emit sites see the right sink through the thread-local slot no
-  // matter which worker hosts the cell. cell_trace_ stays empty when
-  // tracing is off; installing null is free.
-  shards_->set_cell_scope(
-      [this](std::size_t cell, const std::function<void()>& body) {
-        trace::ScopedSink scoped(cell < cell_trace_.size()
-                                     ? cell_trace_[cell].get()
-                                     : nullptr);
-        body();
-      });
-
-  // Per-cell traffic streams, forked in ascending cell order from the
-  // master seed (the topology forks its own link streams the same way).
-  rng_ = std::make_unique<sim::Rng>(config_.seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    cell_rngs_.push_back(rng_->fork(0x10000 + i));
-  }
-  cell_metrics_.resize(n);
-
-  topology_ = std::make_unique<Topology>(*shards_, *fabric_,
-                                         config_.topology, config_.pop_specs);
-  Topology& topo = *topology_;
-
-  for (host::Host* host : topo.all_hosts()) {
-    probe_servers_.push_back(std::make_unique<ProbeServer>(
-        *host, config_.probe.server_port, config_.probe.size_scale));
-    probe_servers_.back()->start();
-    sink_servers_.push_back(
-        std::make_unique<SinkServer>(*host, config_.organic.sink_port));
-    sink_servers_.back()->start();
-  }
-
-  std::vector<std::size_t> sources = config_.probe_source_pops;
-  if (sources.empty()) {
-    sources.resize(n);
-    for (std::size_t i = 0; i < n; ++i) sources[i] = i;
-  }
-  const int hosts_per_pop = config_.topology.hosts_per_pop;
-  for (std::size_t src : sources) {
-    if (src >= n) throw std::invalid_argument("Experiment: bad source pop");
-    for (int h = 0; h < hosts_per_pop; ++h) {
-      std::vector<ProbeTarget> targets;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (dst == src) continue;
-        const int target_host = h % hosts_per_pop;
-        targets.push_back(ProbeTarget{
-            topo.host(dst, static_cast<std::size_t>(target_host)).address(),
-            static_cast<int>(dst),
-            topo.base_rtt(src, dst).to_milliseconds()});
-      }
-      probe_clients_.push_back(std::make_unique<ProbeClient>(
-          shards_->cell(src), topo.host(src, static_cast<std::size_t>(h)),
-          static_cast<int>(src), std::move(targets), config_.probe,
-          cell_metrics_[src], cell_rngs_[src]));
-      probe_clients_.back()->start();
-    }
-  }
-
-  for (std::size_t src : config_.organic_source_pops) {
-    if (src >= n) throw std::invalid_argument("Experiment: bad organic pop");
-    for (int h = 0; h < hosts_per_pop; ++h) {
-      std::vector<net::Ipv4Address> targets;
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (dst == src) continue;
-        targets.push_back(
-            topo.host(dst, static_cast<std::size_t>(h % hosts_per_pop))
-                .address());
-      }
-      organic_sources_.push_back(std::make_unique<OrganicSource>(
-          shards_->cell(src), topo.host(src, static_cast<std::size_t>(h)),
-          std::move(targets), config_.organic, cell_rngs_[src]));
-      organic_sources_.back()->start();
-    }
-  }
-
-  if (config_.flow_traffic.enabled) {
-    std::vector<std::size_t> flow_sources = config_.flow_traffic.source_pops;
-    if (flow_sources.empty()) {
-      flow_sources.resize(n);
-      for (std::size_t i = 0; i < n; ++i) flow_sources[i] = i;
-    }
-    for (std::size_t src : flow_sources) {
-      if (src >= n) throw std::invalid_argument("Experiment: bad flow pop");
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (dst == src) continue;
-        // A WAN link serializes on its source cell, so the fluid model
-        // driving it lives there too.
-        flow_loads_.push_back(std::make_unique<flow::FlowLevelLoad>(
-            shards_->cell(src), topo.wan_link(src, dst),
-            config_.flow_traffic.model, cell_rngs_[src]));
-        flow_loads_.back()->start();
-      }
-    }
-  }
-
-  if (config_.riptide_enabled) {
-    for (host::Host* host : topo.all_hosts()) {
-      const auto pop = static_cast<std::size_t>(topo.pop_of(host->address()));
-      agents_.push_back(std::make_unique<core::RiptideAgent>(
-          shards_->cell(pop), *host, config_.riptide, nullptr, nullptr,
-          &cell_rngs_[pop]));
-      agents_.back()->start();
-    }
-  }
-
-  // Per-cell `ss` window sampler: each cell samples only its own PoP's
-  // hosts into its own collector, so sampling never crosses a cell
-  // boundary and the merged sample stream is worker-count-invariant.
-  for (std::size_t i = 0; i < n; ++i) {
-    sim::Simulator* cell = &shards_->cell(i);
-    MetricsCollector* cm = &cell_metrics_[i];  // deque: stable address
-    cell->schedule_periodic(
-        config_.cwnd_sample_interval, config_.cwnd_sample_interval,
-        [this, i, cell, cm] {
-          for (host::Host* host : topology_->pops()[i].hosts) {
-            for (const auto& info : host->socket_stats()) {
-              if (info.state != tcp::TcpState::kEstablished) continue;
-              if (info.bytes_acked < config_.min_bytes_for_cwnd_sample) {
-                continue;
-              }
-              cm->record_cwnd(CwndSample{static_cast<int>(i),
-                                         info.cwnd_segments, cell->now()});
-            }
-          }
-        });
-  }
-}
-
 void Experiment::run() {
-  if (shards_ != nullptr) {
-    run_sharded();
-    return;
-  }
   // The sink is created lazily here (not in build()) so a never-run
   // experiment owns nothing, and installed only for the span of the event
   // loop: every emit site in tcp/core/net/faults/persist sees it through
@@ -400,42 +203,6 @@ void Experiment::run() {
   if (trace_sink_ != nullptr && !config_.trace.export_path.empty()) {
     trace_sink_->write_jsonl(config_.trace.export_path);
   }
-}
-
-void Experiment::run_sharded() {
-  if (ran_sharded_) {
-    // The cells drained their event queues on the worker threads at the
-    // end of the first run; a second run would silently do nothing.
-    throw std::logic_error("Experiment: sharded run() may only run once");
-  }
-  ran_sharded_ = true;
-
-  if (config_.trace.enabled && cell_trace_.empty()) {
-    for (std::size_t i = 0; i < shards_->cells(); ++i) {
-      cell_trace_.push_back(
-          std::make_unique<trace::TraceSink>(config_.trace));
-    }
-  }
-
-  shards_->run_until(config_.duration);
-
-  // Merge per-cell records in ascending cell order — fixed, so the merged
-  // stream (and the fingerprint computed from it) is invariant under the
-  // worker count.
-  for (const MetricsCollector& cm : cell_metrics_) {
-    metrics_.merge_from(cm);
-  }
-
-  if (config_.trace.enabled && !config_.trace.export_path.empty()) {
-    for (std::size_t i = 0; i < cell_trace_.size(); ++i) {
-      cell_trace_[i]->write_jsonl(
-          cell_trace_path(config_.trace.export_path, i));
-    }
-  }
-
-  // Keep the monolithic facade's clock meaningful: simulator().now() ==
-  // duration after a run, same as the unsharded path.
-  sim_.run_until(config_.duration);
 }
 
 stats::Cdf Experiment::probe_cdf(int src_pop, std::uint64_t object_bytes,

@@ -14,30 +14,13 @@
 #include "core/agent.h"
 #include "core/config.h"
 #include "flow/flow_traffic.h"
-#include "net/wire.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "stats/cdf.h"
 #include "trace/sink.h"
 
-#include <deque>
-
 namespace riptide::cdn {
 
 class Experiment;
-
-// Opt-in sharded (parallel discrete-event) execution. When enabled, the
-// experiment is built one simulation cell per PoP and run under the
-// conservative window protocol of sim::ShardSet, with `shards` worker
-// threads. The default (disabled) path is byte-identical to previous
-// releases; the sharded fingerprint is its own golden value, invariant
-// under `shards` (see tests/determinism_test.cc).
-struct ShardingConfig {
-  bool enabled = false;
-  // Worker threads the per-PoP cells round-robin onto. Must be in
-  // [1, pop count].
-  std::size_t shards = 1;
-};
 
 // Hybrid-fidelity cross-traffic: fluid (flow-level) background load on WAN
 // links while probe/organic traffic stays packet-level. One
@@ -72,14 +55,13 @@ struct ExperimentConfig {
 
   sim::Time duration = sim::Time::minutes(3);
 
-  ShardingConfig sharding{};
   FlowCrossTrafficConfig flow_traffic{};
 
   // Adversarial scenario (src/cdn/hostile.h). kNone (the default) adds
   // nothing and is bit-identical to previous releases; the shallow-buffer
   // variants also shrink topology.wan_queue_packets (see apply_hostile in
   // riptide_sim / bench_policy_zoo, which mutate the topology before
-  // construction). Not supported with sharding.
+  // construction).
   HostileConfig hostile{};
 
   // §IV-B1: windows of established connections sampled periodically (the
@@ -108,14 +90,11 @@ struct ExperimentConfig {
   std::function<std::unique_ptr<core::SocketStatsSource>(Experiment&,
                                                          host::Host&)>
       socket_stats_factory;
-  // Called once at the end of build(), after agents exist and started; the
-  // result is retained for the experiment's lifetime (see extension()).
-  std::function<std::shared_ptr<void>(Experiment&)> extension_factory;
-  // Additional extensions, run after extension_factory in vector order.
-  // Unlike the single slot above — which faults::FaultHarness::install
-  // claims for itself — these compose: policy installers (src/policy) and
-  // a fault harness can ride the same experiment. Results are retained
-  // for the experiment's lifetime (see extensions()).
+  // Extensions, called in vector order at the end of build(), after
+  // agents exist and started. They compose: policy installers
+  // (src/policy) and a fault harness (src/faults, which puts itself
+  // first) can ride the same experiment. Results are retained for the
+  // experiment's lifetime (see extensions()).
   std::vector<std::function<std::shared_ptr<void>(Experiment&)>>
       extension_factories;
 };
@@ -124,14 +103,9 @@ class Experiment {
  public:
   explicit Experiment(ExperimentConfig config);
 
-  // Runs the scenario for config.duration of simulated time. A sharded
-  // experiment (config.sharding.enabled) can run at most once: its cells
-  // drain their pending events on the worker threads before they exit.
+  // Runs the scenario for config.duration of simulated time.
   void run();
 
-  bool sharded() const { return shards_ != nullptr; }
-  // Sharded runs only; null otherwise.
-  sim::ShardSet* shard_set() { return shards_.get(); }
   const std::vector<std::unique_ptr<flow::FlowLevelLoad>>& flow_loads()
       const {
     return flow_loads_;
@@ -162,10 +136,8 @@ class Experiment {
     return agents_;
   }
 
-  // Whatever extension_factory attached (e.g. a faults::FaultHarness);
-  // null when no factory was configured.
-  const std::shared_ptr<void>& extension() const { return extension_; }
-  // Results of extension_factories, in factory order.
+  // Results of extension_factories, one per factory, in factory order
+  // (null for an empty factory).
   const std::vector<std::shared_ptr<void>>& extensions() const {
     return extensions_;
   }
@@ -184,21 +156,10 @@ class Experiment {
  private:
   void build();
   void build_hostile();
-  void build_sharded();
-  void run_sharded();
 
   ExperimentConfig config_;
-  // Monolithic event loop; in sharded mode it stays idle during the run
-  // and is advanced to config.duration afterwards so simulator().now() is
-  // meaningful either way.
   sim::Simulator sim_;
   std::unique_ptr<sim::Rng> rng_;
-  // Sharded engine state. Declared before topology_/clients/agents so it
-  // is destroyed after everything that references the cells.
-  std::unique_ptr<sim::ShardSet> shards_;
-  std::unique_ptr<net::WireFabric> fabric_;
-  std::deque<sim::Rng> cell_rngs_;            // traffic streams, per cell
-  std::deque<MetricsCollector> cell_metrics_;  // recorded per cell, merged
   std::unique_ptr<Topology> topology_;
   MetricsCollector metrics_;
   std::vector<std::unique_ptr<ProbeServer>> probe_servers_;
@@ -209,11 +170,8 @@ class Experiment {
   std::vector<std::unique_ptr<FlashCrowdSource>> flash_crowd_sources_;
   std::vector<std::unique_ptr<flow::FlowLevelLoad>> flow_loads_;
   std::vector<std::unique_ptr<core::RiptideAgent>> agents_;
-  std::shared_ptr<void> extension_;
   std::vector<std::shared_ptr<void>> extensions_;
   std::unique_ptr<trace::TraceSink> trace_sink_;
-  std::vector<std::unique_ptr<trace::TraceSink>> cell_trace_;
-  bool ran_sharded_ = false;
 };
 
 // Percentile-by-percentile improvement of `treatment` over `baseline`

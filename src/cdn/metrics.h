@@ -59,17 +59,6 @@ class MetricsCollector {
 
   std::size_t flow_count() const { return flows_.size(); }
 
-  // Appends another collector's records to this one, preserving their
-  // internal order. Sharded runs keep one collector per cell (so recording
-  // never crosses threads) and merge them in ascending cell order after
-  // the run — a fixed order, so the merged fingerprint does not depend on
-  // the worker count.
-  void merge_from(const MetricsCollector& other) {
-    flows_.insert(flows_.end(), other.flows_.begin(), other.flows_.end());
-    cwnd_samples_.insert(cwnd_samples_.end(), other.cwnd_samples_.begin(),
-                         other.cwnd_samples_.end());
-  }
-
   // Plot-ready CSV exports (header + one row per record).
   void write_flows_csv(std::ostream& os) const;
   void write_cwnd_csv(std::ostream& os) const;

@@ -11,36 +11,6 @@ Topology::Topology(sim::Simulator& sim, TopologyConfig config,
   build(specs);
 }
 
-Topology::Topology(sim::ShardSet& shards, net::WireFabric& fabric,
-                   TopologyConfig config, std::vector<PopSpec> specs)
-    : sim_(shards.cell(0)),
-      config_(config),
-      rng_(config.seed),
-      shards_(&shards),
-      fabric_(&fabric) {
-  if (shards.cells() != specs.size()) {
-    throw std::invalid_argument("Topology: shards.cells() != pop count");
-  }
-  if (fabric.cells() != specs.size()) {
-    throw std::invalid_argument("Topology: fabric.cells() != pop count");
-  }
-  // Fork order (ascending cell) is part of the deterministic fingerprint.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    cell_rngs_.push_back(rng_.fork(i));
-  }
-  build(specs);
-}
-
-sim::Simulator& Topology::cell_sim(std::size_t pop) {
-  if (shards_ == nullptr) return sim_;
-  return shards_->cell(pop);
-}
-
-sim::Rng& Topology::cell_rng(std::size_t pop) {
-  if (shards_ == nullptr) return rng_;
-  return cell_rngs_.at(pop);
-}
-
 void Topology::build(const std::vector<PopSpec>& specs) {
   if (specs.empty()) throw std::invalid_argument("Topology: no PoPs");
   if (specs.size() > 200) throw std::invalid_argument("Topology: too many PoPs");
@@ -69,13 +39,11 @@ void Topology::build(const std::vector<PopSpec>& specs) {
 
   for (std::size_t i = 0; i < n; ++i) {
     auto& pop = pops_[i];
-    sim::Simulator& psim = cell_sim(i);
-    sim::Rng& prng = cell_rng(i);
     for (int h = 0; h < config_.hosts_per_pop; ++h) {
       const net::Ipv4Address addr(10, static_cast<std::uint8_t>(i), 0,
                                   static_cast<std::uint8_t>(h + 1));
       hosts_.push_back(std::make_unique<host::Host>(
-          psim, pop.spec.name + "-" + std::to_string(h + 1), addr,
+          sim_, pop.spec.name + "-" + std::to_string(h + 1), addr,
           config_.host_tcp));
       host::Host& host = *hosts_.back();
 
@@ -83,24 +51,21 @@ void Topology::build(const std::vector<PopSpec>& specs) {
       auto down_cfg = lan_up_cfg;
       down_cfg.name = pop.spec.name + "-down-" + std::to_string(h + 1);
       links_.push_back(
-          std::make_unique<net::Link>(psim, down_cfg, host, &prng));
+          std::make_unique<net::Link>(sim_, down_cfg, host, &rng_));
       pop.router->add_route(net::Prefix::host(addr), *links_.back());
 
       // Uplink host -> router.
       auto up_cfg = lan_up_cfg;
       up_cfg.name = pop.spec.name + "-up-" + std::to_string(h + 1);
       links_.push_back(
-          std::make_unique<net::Link>(psim, up_cfg, *pop.router, &prng));
+          std::make_unique<net::Link>(sim_, up_cfg, *pop.router, &rng_));
       host.attach_uplink(*links_.back());
 
       pop.hosts.push_back(&host);
     }
   }
 
-  // Full mesh of WAN links between PoP routers. A WAN link belongs to its
-  // *source* cell: admission, loss draws, and serialization happen where
-  // the transmitter lives. In sharded mode delivery crosses to the
-  // destination cell through the wire fabric instead of a local event.
+  // Full mesh of WAN links between PoP routers.
   wan_matrix_.assign(n * n, nullptr);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -113,14 +78,10 @@ void Topology::build(const std::vector<PopSpec>& specs) {
       cfg.queue_packets = config_.wan_queue_packets;
       cfg.loss_probability = config_.wan_loss_probability;
       cfg.name = pops_[i].spec.name + "->" + pops_[j].spec.name;
-      links_.push_back(std::make_unique<net::Link>(
-          cell_sim(i), cfg, *pops_[j].router, &cell_rng(i)));
+      links_.push_back(
+          std::make_unique<net::Link>(sim_, cfg, *pops_[j].router, &rng_));
       wan_matrix_[i * n + j] = links_.back().get();
       pops_[i].router->add_route(pops_[j].prefix, *links_.back());
-      if (fabric_ != nullptr) {
-        fabric_->channel(i, j).set_sink(pops_[j].router);
-        links_.back()->set_remote_delivery(&fabric_->channel(i, j));
-      }
     }
   }
 }

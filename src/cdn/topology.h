@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -9,9 +8,7 @@
 #include "host/host.h"
 #include "net/link.h"
 #include "net/router.h"
-#include "net/wire.h"
 #include "sim/random.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "tcp/config.h"
 
@@ -54,25 +51,6 @@ class Topology {
   Topology(sim::Simulator& sim, TopologyConfig config,
            std::vector<PopSpec> specs = default_pop_specs());
 
-  // Sharded variant: PoP i's router, hosts, LAN links, and outgoing WAN
-  // links are built against `shards.cell(i)` (requires shards.cells() ==
-  // specs.size()), each cell drawing from its own Rng forked from
-  // config.seed in ascending cell order. Every WAN link becomes a shard
-  // boundary: it serializes on its source cell and delivers through
-  // fabric.channel(src, dst), whose sink is set to the destination PoP's
-  // router. `shards` and `fabric` must outlive the topology.
-  Topology(sim::ShardSet& shards, net::WireFabric& fabric,
-           TopologyConfig config,
-           std::vector<PopSpec> specs = default_pop_specs());
-
-  bool sharded() const { return fabric_ != nullptr; }
-  // Simulation cell owning PoP `pop`'s objects (the mono simulator when
-  // not sharded).
-  sim::Simulator& cell_sim(std::size_t pop);
-  // Per-cell deterministic stream (the shared topology rng when not
-  // sharded).
-  sim::Rng& cell_rng(std::size_t pop);
-
   const std::vector<Pop>& pops() const { return pops_; }
   std::size_t pop_count() const { return pops_.size(); }
   host::Host& host(std::size_t pop, std::size_t index);
@@ -111,12 +89,9 @@ class Topology {
  private:
   void build(const std::vector<PopSpec>& specs);
 
-  sim::Simulator& sim_;  // mono simulator; cell 0 when sharded
+  sim::Simulator& sim_;
   TopologyConfig config_;
-  sim::Rng rng_;  // mono link stream; master for cell forks when sharded
-  sim::ShardSet* shards_ = nullptr;
-  net::WireFabric* fabric_ = nullptr;
-  std::deque<sim::Rng> cell_rngs_;  // sharded only; deque: stable addresses
+  sim::Rng rng_;  // link loss stream
   std::vector<Pop> pops_;
   std::vector<std::unique_ptr<net::Router>> routers_;
   std::vector<std::unique_ptr<net::Link>> links_;

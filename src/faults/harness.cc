@@ -21,6 +21,14 @@ sim::Rng decorator_rng(const cdn::Experiment& experiment,
 
 }  // namespace
 
+struct FaultHarness::Factory {
+  FaultPlan plan;
+
+  std::shared_ptr<void> operator()(cdn::Experiment& e) const {
+    return std::shared_ptr<void>(new FaultHarness(e, plan));
+  }
+};
+
 void FaultHarness::install(cdn::ExperimentConfig& config, FaultPlan plan) {
   config.route_programmer_factory = [](cdn::Experiment& e, host::Host& h) {
     return std::make_unique<FaultyRouteProgrammer>(
@@ -32,13 +40,24 @@ void FaultHarness::install(cdn::ExperimentConfig& config, FaultPlan plan) {
         std::make_unique<core::HostSocketStatsSource>(h),
         decorator_rng(e, h, kPollSalt));
   };
-  config.extension_factory = [plan = std::move(plan)](cdn::Experiment& e) {
-    return std::shared_ptr<void>(new FaultHarness(e, plan));
-  };
+  auto& factories = config.extension_factories;
+  std::erase_if(factories, [](const auto& f) {
+    return f.template target<Factory>() != nullptr;
+  });
+  factories.insert(factories.begin(), Factory{std::move(plan)});
 }
 
 FaultHarness* FaultHarness::from(const cdn::Experiment& experiment) {
-  return static_cast<FaultHarness*>(experiment.extension().get());
+  // extensions() holds one result per factory, in factory order.
+  const auto& factories = experiment.config().extension_factories;
+  const auto& extensions = experiment.extensions();
+  for (std::size_t i = 0; i < factories.size() && i < extensions.size();
+       ++i) {
+    if (factories[i].target<Factory>() != nullptr) {
+      return static_cast<FaultHarness*>(extensions[i].get());
+    }
+  }
+  return nullptr;
 }
 
 FaultHarness::FaultHarness(cdn::Experiment& experiment, FaultPlan plan) {

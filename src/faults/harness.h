@@ -16,7 +16,7 @@ namespace riptide::faults {
 // factories on the config: every agent's actuator and `ss` surface get
 // wrapped in the fault decorators (each with its own Rng forked from the
 // experiment seed and the host address, so injection sequences are
-// deterministic per host and independent of the workload), and the
+// deterministic per host and independent of the workload), and the first
 // extension factory builds the harness itself — which discovers the
 // decorators on the constructed agents, registers them with a
 // FaultInjector, and arms the plan.
@@ -33,13 +33,15 @@ class FaultHarness {
  public:
   // Wires the decorators and the plan into `config`. The plan may be
   // empty (decorators installed but inert) — useful for bit-identity
-  // comparisons of the no-fault path.
+  // comparisons of the no-fault path. The harness factory goes to the
+  // front of config.extension_factories, so the harness is built before
+  // any policy installer whichever was installed first; a second install()
+  // replaces the first harness.
   static void install(cdn::ExperimentConfig& config, FaultPlan plan);
 
-  // The harness attached by install()'s extension factory, or null when
-  // the experiment was built without one. The extension slot is assumed
-  // to be harness-owned: only call this on experiments configured via
-  // install().
+  // The harness attached by install(), or null when the experiment was
+  // built without one (other extensions, such as policy installers, are
+  // never mistaken for it).
   static FaultHarness* from(const cdn::Experiment& experiment);
 
   FaultInjector& injector() { return *injector_; }
@@ -53,6 +55,10 @@ class FaultHarness {
   persist::CheckpointerStats checkpointer_totals() const;
 
  private:
+  // The extension factory install() plants. A named type, so from() can
+  // find the harness's slot by std::function::target.
+  struct Factory;
+
   FaultHarness(cdn::Experiment& experiment, FaultPlan plan);
 
   // When the experiment's RiptideConfig asks for checkpointing, the

@@ -37,15 +37,15 @@ struct FlowTrafficConfig {
 };
 
 // Flow-level (fluid) model of background cross-traffic on one WAN link —
-// the "hybrid fidelity" half of the sharded-simulation PR. Instead of
-// simulating every data packet of bulk transfers (~40 events per flow for
-// connection setup, data, ACK clocking, teardown), each background flow is
-// two events: a Poisson arrival and a completion computed from a
-// processor-sharing service model. Between events the aggregate is a fluid
-// occupying `offered_bps()` of the link, pushed into the packet-level
-// world via net::Link::set_background_load — probe flows then experience
-// the congestion through the link's ordinary residual-rate serialization
-// and residual-buffer drop-tail paths.
+// "hybrid fidelity": probes stay packet-level, cross traffic does not.
+// Instead of simulating every data packet of bulk transfers (~40 events
+// per flow for connection setup, data, ACK clocking, teardown), each
+// background flow is two events: a Poisson arrival and a completion
+// computed from a processor-sharing service model. Between events the
+// aggregate is a fluid occupying `offered_bps()` of the link, pushed into
+// the packet-level world via net::Link::set_background_load — probe flows
+// then experience the congestion through the link's ordinary residual-rate
+// serialization and residual-buffer drop-tail paths.
 //
 // Service model: the n active flows share min(n * per_flow_access_bps,
 // max_utilization * capacity) equally (egalitarian processor sharing).
@@ -56,12 +56,11 @@ struct FlowTrafficConfig {
 // min-heap of targets and one rearmable timer give O(log n) per flow.
 //
 // Determinism: all draws come from the Rng passed at construction and all
-// events run on the Simulator passed at construction, so in a sharded run
-// the model is part of its owning cell's deterministic event stream.
+// events run on the Simulator passed at construction, so the model is part
+// of that simulator's deterministic event stream.
 class FlowLevelLoad {
  public:
-  // `link` must outlive this object. `rng` is borrowed; in sharded runs it
-  // must be the owning cell's stream.
+  // `link` must outlive this object. `rng` is borrowed.
   FlowLevelLoad(sim::Simulator& sim, net::Link& link,
                 FlowTrafficConfig config, sim::Rng& rng);
 

@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "net/wire.h"
-
 #include "sim/random.h"
 #include "stats/perf.h"
 #include "trace/sink.h"
@@ -136,16 +134,6 @@ void Link::receive(const Packet& packet) {
   auto& perf = perf::local();
   ++perf.packets_queued;
   perf.bytes_queued += packet.size_bytes;
-
-  if (remote_ != nullptr) {
-    // Shard boundary: delivery happens on another cell, injected at the
-    // next window barrier. Delivery is certain once the wire copy is
-    // queued, so account it here where the stats live.
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += packet.size_bytes;
-    remote_->push(done + config_.propagation_delay, packet);
-    return;
-  }
 
   // Delivery events are the bulk of a packet-level run's event
   // population, and `done + propagation_delay` is at most milliseconds

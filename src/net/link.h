@@ -14,8 +14,6 @@ class Rng;
 
 namespace riptide::net {
 
-class WireChannel;
-
 // Counters a link exposes for diagnostics and experiments. Drops are
 // attributed to exactly one reason so fault runs are debuggable from the
 // counters alone.
@@ -86,21 +84,6 @@ class Link : public PacketSink {
   void set_loss_probability(double p);
   void set_propagation_delay(sim::Time delay);
 
-  // -- Shard-boundary delivery (sim/shard.h, net/wire.h) --
-  // When set, this link's transmitter end lives on one simulation cell and
-  // its receiver on another: admission, loss, queueing and serialization
-  // all still happen here (on the source cell, with the source cell's
-  // clock and Rng), but instead of scheduling a local delivery event the
-  // link pushes a by-value wire copy into the channel stamped with the
-  // exact delivery timestamp. The destination cell injects it at the next
-  // window barrier — timestamps are exact, only the event's queue sequence
-  // number is assigned later, which the conservative window protocol makes
-  // deterministic. `sink` passed at construction is ignored while a remote
-  // channel is set. Delivery stats are accounted at admission (delivery is
-  // certain once the wire copy is queued).
-  void set_remote_delivery(WireChannel* channel) { remote_ = channel; }
-  bool is_shard_boundary() const { return remote_ != nullptr; }
-
   // -- Flow-level background load (src/flow hybrid fidelity) --
   // A fluid cross-traffic aggregate occupies `offered_bps` of this link's
   // capacity and `queue_packets` of its buffer without per-packet events.
@@ -122,7 +105,6 @@ class Link : public PacketSink {
   Config config_;
   PacketSink& sink_;
   sim::Rng* rng_;
-  WireChannel* remote_ = nullptr;
   double background_bps_ = 0.0;
   std::size_t background_queue_ = 0;
   sim::Time busy_until_;

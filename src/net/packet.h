@@ -37,15 +37,6 @@ struct Payload {
 
   std::uint8_t kind() const { return kind_; }
 
-  // By-value copy for shard-boundary transport (net/wire.h): a fresh
-  // heap-owned object carrying the same protocol contents but *no* pool
-  // affiliation and a zero refcount — pooled payloads are thread-confined,
-  // so the original handle is dropped on the sending shard and only the
-  // clone crosses the mailbox. Returns nullptr for payload types that
-  // cannot cross a shard boundary (the fabric treats that as a hard
-  // configuration error, not a silent drop).
-  virtual Payload* wire_clone() const { return nullptr; }
-
   void ref_add() const { ++refs_; }
   void ref_release() const {
     if (--refs_ == 0) retire();

@@ -656,7 +656,7 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
   return ran;
 }
 
-void Simulator::drop_pending(PoolCheck check) {
+void Simulator::drop_pending() {
   heads_.fill(kNil);
   l0_summary_ = 0;
   l0_words_.fill(0);
@@ -688,9 +688,7 @@ void Simulator::drop_pending(PoolCheck check) {
   // this simulation holds pooled segments (connections only hold them
   // transiently inside events), so the thread-local pool gauge must read
   // zero — any residue is a segment about to escape across a thread.
-  assert(check == PoolCheck::kSkip ||
-         perf::local().segment_pool_live == 0);
-  (void)check;
+  assert(perf::local().segment_pool_live == 0);
 }
 
 void Simulator::flush_perf_counters() {

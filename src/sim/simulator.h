@@ -94,15 +94,6 @@ class Simulator {
   // Stops the current run_* call after the in-flight event completes.
   void stop() { stopped_ = true; }
 
-  // drop_pending post-condition check. The drain exists to return pooled
-  // segments to the thread-local SegmentPool before a thread boundary, so
-  // "pool has no live segments afterwards" is the property that proves the
-  // drain worked. kAssertEmpty enforces it in debug builds; pass kSkip
-  // when other simulators on the same thread legitimately still hold
-  // segments (e.g. draining several shard cells that share a worker —
-  // only the last drain on the thread can expect an empty pool).
-  enum class PoolCheck { kSkip, kAssertEmpty };
-
   // Destroys every scheduled callback without running it and invalidates
   // all outstanding handles. For finished simulations whose owner is about
   // to cross a thread boundary: pending callbacks can capture pooled
@@ -110,10 +101,10 @@ class Simulator {
   // with the thread that ran the simulation, so a worker drains here
   // before handing the experiment back. Must not be called from inside a
   // running callback. In debug builds, asserts the thread-local segment
-  // pool is empty afterwards unless PoolCheck::kSkip is passed — the
-  // cross-thread pool-escape class of bug then fails fast at the drain
-  // site instead of only under ASan.
-  void drop_pending(PoolCheck check = PoolCheck::kAssertEmpty);
+  // pool is empty afterwards ("no live segments" is the property that
+  // proves the drain worked) — the cross-thread pool-escape class of bug
+  // then fails fast at the drain site instead of only under ASan.
+  void drop_pending();
 
   std::uint64_t events_executed() const { return executed_; }
 

@@ -26,8 +26,6 @@ Counters Counters::delta_since(const Counters& before) const {
       timer_buckets_dispatched - before.timer_buckets_dispatched;
   d.packets_queued = packets_queued - before.packets_queued;
   d.bytes_queued = bytes_queued - before.bytes_queued;
-  d.shard_windows = shard_windows - before.shard_windows;
-  d.shard_wire_packets = shard_wire_packets - before.shard_wire_packets;
   d.flow_level_flows = flow_level_flows - before.flow_level_flows;
   return d;
 }
@@ -47,8 +45,6 @@ void Counters::accumulate(const Counters& other) {
   timer_buckets_dispatched += other.timer_buckets_dispatched;
   packets_queued += other.packets_queued;
   bytes_queued += other.bytes_queued;
-  shard_windows += other.shard_windows;
-  shard_wire_packets += other.shard_wire_packets;
   flow_level_flows += other.flow_level_flows;
 }
 
@@ -63,7 +59,6 @@ std::string to_json(const Counters& c) {
       "\"events_cascaded\":%llu,\"overflow_promotions\":%llu,"
       "\"timer_buckets_dispatched\":%llu,"
       "\"packets_queued\":%llu,\"bytes_queued\":%llu,"
-      "\"shard_windows\":%llu,\"shard_wire_packets\":%llu,"
       "\"flow_level_flows\":%llu}",
       static_cast<unsigned long long>(c.segments_allocated),
       static_cast<unsigned long long>(c.segments_recycled),
@@ -78,8 +73,6 @@ std::string to_json(const Counters& c) {
       static_cast<unsigned long long>(c.timer_buckets_dispatched),
       static_cast<unsigned long long>(c.packets_queued),
       static_cast<unsigned long long>(c.bytes_queued),
-      static_cast<unsigned long long>(c.shard_windows),
-      static_cast<unsigned long long>(c.shard_wire_packets),
       static_cast<unsigned long long>(c.flow_level_flows));
   return buf;
 }
@@ -93,7 +86,6 @@ std::string to_run_json(const Counters& c) {
       "\"events_cascaded\":%llu,\"overflow_promotions\":%llu,"
       "\"timer_buckets_dispatched\":%llu,"
       "\"packets_queued\":%llu,\"bytes_queued\":%llu,"
-      "\"shard_windows\":%llu,\"shard_wire_packets\":%llu,"
       "\"flow_level_flows\":%llu}",
       static_cast<unsigned long long>(c.segments_allocated),
       static_cast<unsigned long long>(c.segments_recycled),
@@ -104,8 +96,6 @@ std::string to_run_json(const Counters& c) {
       static_cast<unsigned long long>(c.timer_buckets_dispatched),
       static_cast<unsigned long long>(c.packets_queued),
       static_cast<unsigned long long>(c.bytes_queued),
-      static_cast<unsigned long long>(c.shard_windows),
-      static_cast<unsigned long long>(c.shard_wire_packets),
       static_cast<unsigned long long>(c.flow_level_flows));
   return buf;
 }

@@ -48,11 +48,6 @@ struct Counters {
   std::uint64_t timer_buckets_dispatched = 0;  // level-0 buckets detached and
                                                // run as batched run-lists
 
-  // -- sharded execution (sim/shard.h, net/wire.h) --
-  std::uint64_t shard_windows = 0;       // conservative windows executed
-  std::uint64_t shard_wire_packets = 0;  // packets cloned across a shard
-                                         // mailbox (never SegmentRefs)
-
   // -- hybrid fidelity (src/flow) --
   std::uint64_t flow_level_flows = 0;  // cross-traffic flows simulated at
                                        // flow level (no packet events)

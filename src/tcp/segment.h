@@ -135,12 +135,6 @@ struct Segment : net::Payload {
   // the pool each time this slot is recycled, compared by SegmentRef.
   std::uint32_t pool_generation() const { return pool_gen_; }
 
-  // Shard-boundary copy (see net::Payload::wire_clone): a heap-owned
-  // segment with identical protocol fields but no pool backlink, so it is
-  // plain-deleted on whichever shard drops the last reference. Pooled
-  // segments themselves must never cross a shard mailbox alive.
-  Segment* wire_clone() const override;
-
  protected:
   void retire() const override;
 

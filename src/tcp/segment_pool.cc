@@ -65,25 +65,6 @@ void SegmentPool::recycle(Segment* seg) {
   perf.segment_pool_free = free_.size();
 }
 
-Segment* Segment::wire_clone() const {
-  // Field-by-field copy on purpose: the implicit copy constructor would
-  // also copy the pool backlink and generation stamp, and a heap clone
-  // must never masquerade as a pool slot.
-  auto* clone = new Segment();
-  clone->src_port = src_port;
-  clone->dst_port = dst_port;
-  clone->seq = seq;
-  clone->ack = ack;
-  clone->syn = syn;
-  clone->ack_flag = ack_flag;
-  clone->fin = fin;
-  clone->rst = rst;
-  clone->payload_bytes = payload_bytes;
-  clone->window_bytes = window_bytes;
-  clone->sack_blocks = sack_blocks;
-  return clone;
-}
-
 void Segment::retire() const {
   // retire() is conceptually destruction, so shedding const to hand the
   // slot back mirrors what `delete this` (legal on a const pointer) does.

@@ -1,8 +1,8 @@
 // Chaos-search engine tests (src/chaos): spec codec round-trips, the
 // invariant oracles against a deliberately broken governor, repro
 // shrinking, campaign determinism, and the golden-fingerprint pin —
-// plus the composed hostile+faults+policy scenario that exercises the
-// legacy extension slot and the composable factory list together.
+// plus the composed faults+policy scenario that puts a fault harness and
+// a policy installer on the one extension seam together.
 
 #include <gtest/gtest.h>
 
@@ -256,9 +256,9 @@ TEST(ComposedScenarioTest, HostileFaultsAndGovernedPolicyTogether) {
 }
 
 TEST(ComposedScenarioTest, InstallerFactoriesAndFaultHarnessSlotTogether) {
-  // The legacy single extension slot (claimed by FaultHarness::install)
-  // and the composable extension_factories list (policy installers) must
-  // ride the same experiment without stepping on each other.
+  // FaultHarness::install and a policy installer share
+  // extension_factories: both ride the same experiment without stepping
+  // on each other, with the harness built first.
   cdn::ExperimentConfig config;
   config.pop_specs.assign(cdn::default_pop_specs().begin(),
                           cdn::default_pop_specs().begin() + 3);
@@ -274,9 +274,10 @@ TEST(ComposedScenarioTest, InstallerFactoriesAndFaultHarnessSlotTogether) {
 
   auto* harness = faults::FaultHarness::from(exp);
   ASSERT_NE(harness, nullptr);
-  ASSERT_EQ(exp.extensions().size(), 1u);
+  ASSERT_EQ(exp.extensions().size(), 2u);
+  EXPECT_EQ(exp.extensions()[0].get(), harness);
   const auto installation = std::static_pointer_cast<policy::PolicyInstallation>(
-      exp.extensions().front());
+      exp.extensions()[1]);
   ASSERT_NE(installation, nullptr);
   EXPECT_GT(installation->routes_installed, 0u);
   EXPECT_GE(exp.simulator().now(), config.duration);

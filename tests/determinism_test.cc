@@ -118,71 +118,28 @@ TEST(GoldenDeterminismTest, SeedChangesFingerprint) {
             run_fingerprint(golden_config(43)));
 }
 
-// -- Sharded execution (PDES) fingerprints --
+// -- Hybrid-fidelity cross-traffic fingerprints --
 //
-// The sharded engine is a different event interleaving from the monolithic
-// loop (per-cell clocks, mailbox delivery), so its fingerprint is NOT the
-// monolithic golden. What it must be is *worker-count-invariant*: the cell
-// decomposition is fixed by the topology, and --shards only maps cells
-// onto threads, so shards=1, 2, and 4 must agree bit-exactly — the hard
-// invariant of the sharded-simulation PR.
+// Fluid cross-traffic (flow_traffic) owns its own fingerprint, like the CC
+// regimes: it must couple into the packet world and stay deterministic.
 
-ExperimentConfig sharded_config(std::size_t shards, std::uint64_t seed = 42,
-                                bool tracing = false) {
-  ExperimentConfig config = golden_config(seed);
-  config.sharding.enabled = true;
-  config.sharding.shards = shards;
-  config.trace.enabled = tracing;
+ExperimentConfig hybrid_config(double flows_per_second) {
+  ExperimentConfig config = golden_config();
+  config.flow_traffic.enabled = true;
+  config.flow_traffic.model.flows_per_second = flows_per_second;
   return config;
 }
 
-TEST(ShardedDeterminismTest, ShardCountInvariant) {
-  const std::uint32_t one = run_fingerprint(sharded_config(1));
-  const std::uint32_t two = run_fingerprint(sharded_config(2));
-  const std::uint32_t four = run_fingerprint(sharded_config(4));
-  EXPECT_EQ(one, two) << "shards=2 diverged from shards=1";
-  EXPECT_EQ(one, four) << "shards=4 diverged from shards=1";
-}
-
-TEST(ShardedDeterminismTest, RunTwiceIdentical) {
-  EXPECT_EQ(run_fingerprint(sharded_config(2)),
-            run_fingerprint(sharded_config(2)));
-}
-
-TEST(ShardedDeterminismTest, TracingDoesNotPerturb) {
-  // Decision-audit tracing is pure observation; per-cell sinks must not
-  // change behavior under any worker count.
-  const std::uint32_t off = run_fingerprint(sharded_config(1, 42, false));
-  EXPECT_EQ(off, run_fingerprint(sharded_config(1, 42, true)));
-  EXPECT_EQ(off, run_fingerprint(sharded_config(4, 42, true)));
-}
-
-TEST(ShardedDeterminismTest, SeedChangesFingerprint) {
-  EXPECT_NE(run_fingerprint(sharded_config(2, 42)),
-            run_fingerprint(sharded_config(2, 43)));
-}
-
-TEST(ShardedDeterminismTest, HybridCrossTrafficShardCountInvariant) {
-  // Flow-level cross-traffic rides each WAN link's source cell, so the
-  // hybrid fingerprint must be worker-count-invariant too.
-  auto hybrid = [](std::size_t shards) {
-    ExperimentConfig config = sharded_config(shards);
-    config.flow_traffic.enabled = true;
-    config.flow_traffic.model.flows_per_second = 50.0;
-    return run_fingerprint(config);
-  };
-  const std::uint32_t one = hybrid(1);
-  EXPECT_EQ(one, hybrid(2));
-  EXPECT_EQ(one, hybrid(4));
-}
-
-TEST(ShardedDeterminismTest, HybridLoadPerturbsProbes) {
+TEST(HybridDeterminismTest, HybridLoadPerturbsProbes) {
   // Sanity that the fluid aggregate actually couples into the packet
   // world: turning it on must change the probe metrics.
-  ExperimentConfig with = sharded_config(2);
-  with.flow_traffic.enabled = true;
-  with.flow_traffic.model.flows_per_second = 200.0;
-  EXPECT_NE(run_fingerprint(sharded_config(2)), run_fingerprint(with));
+  EXPECT_NE(run_fingerprint(golden_config()),
+            run_fingerprint(hybrid_config(200.0)));
+}
+
+TEST(HybridDeterminismTest, RunTwiceIdentical) {
+  EXPECT_EQ(run_fingerprint(hybrid_config(50.0)),
+            run_fingerprint(hybrid_config(50.0)));
 }
 
 TEST(GoldenDeterminismTest, ParallelRunnerThreadCountInvariant) {

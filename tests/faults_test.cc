@@ -707,6 +707,15 @@ TEST(FaultHarnessTest, ExperimentWithoutHarnessHasNoExtension) {
   auto config = harness_world(1);
   cdn::Experiment experiment(config);
   EXPECT_EQ(faults::FaultHarness::from(experiment), nullptr);
+
+  // Other extensions (policy installers, say) are not a harness.
+  config.extension_factories.push_back(
+      [](cdn::Experiment&) -> std::shared_ptr<void> {
+        return std::make_shared<int>(42);
+      });
+  cdn::Experiment with_other(config);
+  ASSERT_EQ(with_other.extensions().size(), 1u);
+  EXPECT_EQ(faults::FaultHarness::from(with_other), nullptr);
 }
 
 // The acceptance scenario: a flapping WAN link plus an actuator failing

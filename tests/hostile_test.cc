@@ -1,8 +1,7 @@
 // Hostile-scenario suite (src/cdn/hostile.h): the spec grammar, the
-// synchronized incast / flash-crowd wave generators, the sharded-mode
-// rejection, and the headline robustness ordering — under a shallow
-// bottleneck queue the governed adaptive policy beats a blind static
-// IW50.
+// synchronized incast / flash-crowd wave generators, and the headline
+// robustness ordering — under a shallow bottleneck queue the governed
+// adaptive policy beats a blind static IW50.
 
 #include <gtest/gtest.h>
 
@@ -139,14 +138,6 @@ TEST(HostileSourceTest, CombinedRunsBothGenerators) {
 TEST(HostileSourceTest, VictimPopMustExist) {
   auto config = small_world();
   config.hostile = parse_hostile_spec("incast:victim=7");
-  EXPECT_THROW(cdn::Experiment{std::move(config)}, std::invalid_argument);
-}
-
-TEST(HostileSourceTest, HostileScenariosRefuseShardedMode) {
-  auto config = small_world();
-  config.hostile = parse_hostile_spec("flash-crowd");
-  config.sharding.enabled = true;
-  config.sharding.shards = 1;
   EXPECT_THROW(cdn::Experiment{std::move(config)}, std::invalid_argument);
 }
 

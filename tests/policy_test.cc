@@ -11,6 +11,7 @@
 
 #include "cdn/experiment.h"
 #include "cdn/pops.h"
+#include "faults/harness.h"
 #include "policy/policy.h"
 #include "sim/time.h"
 
@@ -148,30 +149,24 @@ TEST(PolicyInstallTest, OracleWindowsTrackThePathBdp) {
   }
 }
 
-TEST(PolicyInstallTest, InstallersComposeWithTheLegacyExtensionSlot) {
-  // extension_factories must not fight over the single extension_factory
-  // slot that faults::FaultHarness claims: both results are retained.
+TEST(PolicyInstallTest, InstallersComposeWithTheFaultHarness) {
+  // A policy installer and a fault harness share the one extension seam:
+  // both results are retained, and the harness is built first although
+  // the policy was applied first.
   auto config = small_world();
   policy::apply_policy(config, parse_policy("static-iw20"));
-  config.extension_factory = [](cdn::Experiment&) -> std::shared_ptr<void> {
-    return std::make_shared<int>(42);
-  };
+  faults::FaultHarness::install(config, faults::FaultPlan{});
+  ASSERT_EQ(config.extension_factories.size(), 2u);
+
   cdn::Experiment experiment(std::move(config));
-  ASSERT_NE(experiment.extension(), nullptr);
-  EXPECT_EQ(*std::static_pointer_cast<int>(experiment.extension()), 42);
-  ASSERT_EQ(experiment.extensions().size(), 1u);
+  const faults::FaultHarness* harness = faults::FaultHarness::from(experiment);
+  ASSERT_NE(harness, nullptr);
+  ASSERT_EQ(experiment.extensions().size(), 2u);
+  EXPECT_EQ(experiment.extensions()[0].get(), harness);
   EXPECT_GT(std::static_pointer_cast<policy::PolicyInstallation>(
-                experiment.extensions().front())
+                experiment.extensions()[1])
                 ->routes_installed,
             0u);
-}
-
-TEST(PolicyInstallTest, InstalledPoliciesRefuseShardedMode) {
-  auto config = small_world();
-  policy::apply_policy(config, parse_policy("static-iw50"));
-  config.sharding.enabled = true;
-  config.sharding.shards = 1;
-  EXPECT_THROW(cdn::Experiment{std::move(config)}, std::invalid_argument);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //               [--probe-interval SECONDS] [--wan-loss P] [--organic POP]
 //               [--pacing] [--cc NAME] [--threads N] [--sweep-seeds A,B,C]
 //               [--trace PATH.jsonl] [--trace-ring N]
-//               [--shards N] [--flow-traffic FLOWS_PER_SEC]
+//               [--flow-traffic FLOWS_PER_SEC]
 //               [--policy NAME] [--hostile SPEC] [--faults SPEC]
 //               [--validate-only]
 //               [--chaos N] [--chaos-seed S] [--chaos-out DIR]
@@ -34,8 +34,7 @@
 // "default", "static-iwN[@L]", "adaptive[-governed][@L]", "oracle[@L]".
 // --hostile runs an adversarial scenario (src/cdn/hostile.h):
 // "shallow-buffer[:queue=N]", "incast[:victim=P,fanin=N,...]",
-// "flash-crowd[:at=S,conns=N,...]", "combined". Neither composes with
-// --shards.
+// "flash-crowd[:at=S,conns=N,...]", "combined".
 //
 // --faults runs a declarative fault plan (src/faults) against the
 // experiment: "@5 down 0-1; @10 up 0-1; @20 actuator-fail 0.3 30".
@@ -50,17 +49,13 @@
 // campaign is a pure function of --chaos-seed. --repro FILE replays one
 // spec file and reports its violations (exit 1 when any fire).
 //
-// --shards N runs the sharded (PDES) engine: the topology's PoPs become
-// cells synchronized by conservative time windows, mapped onto N worker
-// threads. The fingerprint is shard-count-invariant, so any N gives the
-// same metrics. --flow-traffic F adds fluid (flow-level) cross-traffic at
-// F flows/sec per WAN link instead of simulating those packets.
+// --flow-traffic F adds fluid (flow-level) cross-traffic at F flows/sec
+// per WAN link instead of simulating those packets.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <stdexcept>
@@ -87,7 +82,6 @@ struct Options {
   std::uint64_t seed = 1;
   bool riptide = true;
   unsigned threads = 0;
-  std::size_t shards = 0;  // 0 = monolithic engine
   std::string policy;
   std::string hostile;
   std::string faults;
@@ -150,8 +144,6 @@ Scenarios:
 Execution:
   --threads N          sweep worker threads (default: hardware threads)
   --sweep-seeds A,B,C  run the scenario once per seed and merge percentiles
-  --shards N           sharded (PDES) engine on N workers; one cell per
-                       PoP, N <= PoP count; metrics identical for every N
   --flow-traffic F     fluid cross-traffic, F flows/sec per WAN link
 
 Tracing:
@@ -180,7 +172,7 @@ Misc:
                "  [--cc reno|cubic|cubic-fast|bbr]\n"
                "  [--threads N] [--sweep-seeds A,B,C]\n"
                "  [--trace PATH.jsonl] [--trace-ring N]\n"
-               "  [--shards N] [--flow-traffic FLOWS_PER_SEC]\n"
+               "  [--flow-traffic FLOWS_PER_SEC]\n"
                "  [--policy NAME] [--hostile SPEC] [--faults SPEC]\n"
                "  [--validate-only] [--chaos N] [--chaos-seed S]\n"
                "  [--chaos-out DIR] [--repro FILE] [--help]\n"
@@ -204,10 +196,6 @@ Misc:
                "                    campaign is deterministic in --chaos-seed\n"
                "  --repro FILE      replay one chaos spec file and report its\n"
                "                    oracle violations (exit 1 when any fire)\n"
-               "  --shards N        run the sharded (PDES) engine on N worker\n"
-               "                    threads; one cell per PoP, so N must not\n"
-               "                    exceed the PoP/host count. Metrics are\n"
-               "                    identical for every N (fixed seed).\n"
                "  --flow-traffic F  fluid cross-traffic, F flows/sec per WAN\n"
                "                    link (flow-level FCT model; probe flows\n"
                "                    stay packet-level).\n",
@@ -287,10 +275,6 @@ Options parse(int argc, char** argv) {
       if (opt.config.trace.ring_capacity == 0) usage(argv[0]);
     } else if (arg == "--threads") {
       opt.threads = static_cast<unsigned>(std::atoi(need_value(i)));
-    } else if (arg == "--shards") {
-      const int n = std::atoi(need_value(i));
-      if (n <= 0) usage(argv[0]);
-      opt.shards = static_cast<std::size_t>(n);
     } else if (arg == "--flow-traffic") {
       const double fps = std::atof(need_value(i));
       if (fps <= 0.0) usage(argv[0]);
@@ -468,11 +452,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--hostile: %s\n", err.what());
       return 2;
     }
-    if (opt.config.hostile.kind != cdn::HostileKind::kNone &&
-        opt.shards > 0) {
-      std::fprintf(stderr, "--hostile does not compose with --shards\n");
-      return 2;
-    }
     if ((opt.config.hostile.kind == cdn::HostileKind::kIncast ||
          opt.config.hostile.kind == cdn::HostileKind::kCombined) &&
         opt.config.hostile.victim_pop >= opt.pops) {
@@ -497,10 +476,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--faults: %s\n", err.what());
       return 2;
     }
-    if (opt.shards > 0) {
-      std::fprintf(stderr, "--faults does not compose with --shards\n");
-      return 2;
-    }
     faults::FaultHarness::install(opt.config, std::move(plan));
   }
 
@@ -512,40 +487,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--policy: %s\n", err.what());
       return 2;
     }
-    if ((spec.kind == policy::PolicyKind::kStaticIw ||
-         spec.kind == policy::PolicyKind::kOracle) &&
-        opt.shards > 0) {
-      std::fprintf(stderr, "--policy %s does not compose with --shards\n",
-                   opt.policy.c_str());
-      return 2;
-    }
     // apply_policy owns riptide_enabled from here; --riptide is ignored.
     policy::apply_policy(opt.config, spec);
     opt.riptide = opt.config.riptide_enabled;
-  }
-
-  if (opt.shards > 0) {
-    // Cells are fixed at one per PoP; worker shards only map cells onto
-    // threads, so more shards than PoPs (and a fortiori than hosts) has
-    // nothing to run.
-    const std::size_t total_hosts =
-        opt.pops * static_cast<std::size_t>(opt.hosts);
-    if (opt.shards > opt.pops || opt.shards > total_hosts) {
-      std::fprintf(stderr,
-                   "--shards %zu exceeds the world: %zu PoPs, %zu hosts "
-                   "(shards must be <= the PoP count)\n",
-                   opt.shards, opt.pops, total_hosts);
-      return 2;
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0 && opt.shards > hw) {
-      std::fprintf(stderr,
-                   "warning: --shards %zu > %u hardware threads; workers "
-                   "will time-slice (results are identical, just slower)\n",
-                   opt.shards, hw);
-    }
-    opt.config.sharding.enabled = true;
-    opt.config.sharding.shards = opt.shards;
   }
 
   std::vector<std::uint64_t> seeds =
@@ -557,7 +501,6 @@ int main(int argc, char** argv) {
               opt.pops, opt.hosts, opt.duration_s,
               opt.riptide ? "on" : "off", seeds.size(),
               runner::effective_threads(opt.threads, seeds.size()));
-  if (opt.shards > 0) std::printf(", engine=sharded(%zu)", opt.shards);
   if (!opt.policy.empty()) std::printf(", policy=%s", opt.policy.c_str());
   if (opt.config.hostile.kind != cdn::HostileKind::kNone) {
     std::printf(", hostile=%s", cdn::to_string(opt.config.hostile.kind));
