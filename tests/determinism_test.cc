@@ -22,6 +22,7 @@
 
 #include "cdn/experiment.h"
 #include "cdn/pops.h"
+#include "chaos/spec.h"
 #include "persist/crc32.h"
 #include "runner/parallel_runner.h"
 
@@ -158,6 +159,165 @@ TEST(GoldenDeterminismTest, ParallelRunnerThreadCountInvariant) {
     fingerprints.push_back(crc);
   }
   EXPECT_EQ(fingerprints[0], fingerprints[1]);
+}
+
+// -- Knobs-on agent pins --
+//
+// The golden world runs with every hardening knob off, so it never
+// reaches the budget, governor-ladder, retry, reconcile or staleness
+// paths. Each world below drives some of them at world scale and pins
+// one CRC over every agent's installed routes after every poll (read
+// through the post-poll hook, with how the poll ended) plus every
+// AgentStats counter at the end of the run.
+
+// Every AgentStats field goes into the pin: a new counter must be added
+// to serialize_agent_stats() below (and the pins recaptured).
+static_assert(sizeof(core::AgentStats) == 30 * sizeof(std::uint64_t));
+
+void serialize_agent_stats(const core::AgentStats& s, std::string& out) {
+  const std::uint64_t fields[] = {
+      s.polls,
+      s.connections_observed,
+      s.destinations_updated,
+      s.routes_set,
+      s.routes_expired,
+      s.trend_resets,
+      s.polls_failed,
+      s.actuator_failures,
+      s.actuator_retries,
+      s.actuator_dead_letters,
+      s.staleness_decays,
+      s.staleness_withdrawals,
+      s.crashes,
+      s.restarts,
+      s.routes_adopted,
+      s.reconcile_repaired,
+      s.reconcile_orphaned,
+      s.reconcile_conflicting,
+      s.governor_budget_scaledowns,
+      s.governor_hysteresis_skips,
+      s.governor_rollbacks,
+      s.governor_routes_rolled_back,
+      s.governor_cooldown_polls,
+      s.governor_stage_scaledowns,
+      s.governor_routes_stage_scaled,
+      s.governor_stage_withdrawals,
+      s.governor_routes_stage_withdrawn,
+      s.governor_budget_sheds,
+      s.governor_routes_budget_shed,
+      s.governor_storm_escalations,
+  };
+  out += "A";
+  for (const std::uint64_t field : fields) out += "," + std::to_string(field);
+  out += "\n";
+}
+
+std::uint32_t agent_pin(const char* spec_text,
+                        void (*tune)(ExperimentConfig&)) {
+  ExperimentConfig config = chaos::ChaosSpec::parse(spec_text).to_config();
+  tune(config);
+  Experiment exp(config);
+  std::uint32_t crc = 0;
+  std::string poll;
+  for (const auto& agent : exp.agents()) {
+    agent->set_post_poll_hook(
+        [&crc, &poll](core::RiptideAgent& a, const core::PollOutcome& o) {
+          char line[96];
+          std::snprintf(line, sizeof line, "P,%u,%" PRId64 ",%d%d%d\n",
+                        a.host().address().value(),
+                        a.host().simulator().now().ns(), o.completed ? 1 : 0,
+                        o.reconciled ? 1 : 0, o.snapshot_ok ? 1 : 0);
+          poll = line;
+          for (const auto& [prefix, m] : a.installed_routes()) {
+            std::snprintf(line, sizeof line, "R,%u/%d,%u,%u,%d\n",
+                          prefix.address().value(), prefix.length(),
+                          m.initcwnd_segments, m.initrwnd_segments,
+                          static_cast<int>(m.cc));
+            poll += line;
+          }
+          crc = persist::crc32(poll, crc);
+        });
+  }
+  exp.run();
+  std::string stats;
+  for (const auto& agent : exp.agents()) {
+    serialize_agent_stats(agent->stats(), stats);
+  }
+  return persist::crc32(stats, crc);
+}
+
+TEST(AgentPinTest, GovernorLadderReconcileAndHysteresis) {
+  // Staged ladder (scale-down, selective withdraw, rollback, storm) under
+  // a shallow-buffer world with a link outage, route drift for the
+  // reconciler, and two loss bursts.
+  const std::uint32_t crc = agent_pin(
+      "pops=4\nhosts=2\nduration=60\nseed=3\nwan_loss=0.001\n"
+      "policy=adaptive-governed\nhostile=shallow-buffer:queue=64\n"
+      "faults=@8 down 0-1; @13 up 0-1; @15 route-drift -1 0.5 0.5; "
+      "@20 loss 0-1 0.2 10; @40 loss 0-2 0.2 10\n",
+      [](ExperimentConfig& c) {
+        c.riptide.governor_rollback_retrans_fraction = 0.02;
+        c.riptide.governor_min_packets = 50;
+      });
+  EXPECT_EQ(crc, 0xF1E02461u) << std::hex << "0x" << crc;
+}
+
+TEST(AgentPinTest, ShedNewestBudget) {
+  // A flash crowd of fresh destinations against a tight shed-newest
+  // budget: sheds, budget-shrink programs and the kBudget state record.
+  const std::uint32_t crc = agent_pin(
+      "pops=4\nhosts=2\nduration=40\nseed=7\nwan_loss=0.001\n"
+      "policy=adaptive-governed\n"
+      "hostile=flash-crowd:at=10,conns=8,bytes=100000,period=10\n"
+      "faults=@5 loss 0-1 0.05 10\nbudget=20\n",
+      [](ExperimentConfig&) {});
+  EXPECT_EQ(crc, 0x214DA691u) << std::hex << "0x" << crc;
+}
+
+TEST(AgentPinTest, ProportionalBudgetAndLegacyRollbackStorm) {
+  // Proportional budget scale-downs (decision loop and host-wide sweep)
+  // and the legacy all-or-nothing rollback with storm backoff.
+  const std::uint32_t crc = agent_pin(
+      "pops=4\nhosts=2\nduration=60\nseed=7\nwan_loss=0.001\n"
+      "policy=adaptive\nhostile=none\n"
+      "faults=@10 loss 0-1 0.2 10; @35 loss 0-1 0.2 10\nbudget=20\n",
+      [](ExperimentConfig& c) {
+        c.riptide.governor_rollback_retrans_fraction = 0.02;
+        c.riptide.governor_min_packets = 50;
+        c.riptide.governor_cooldown = Time::seconds(5);
+        c.riptide.governor_storm_backoff_factor = 2.0;
+      });
+  EXPECT_EQ(crc, 0x3F042BFFu) << std::hex << "0x" << crc;
+}
+
+TEST(AgentPinTest, ActuatorRetryPollFailureAndCrashRestore) {
+  // Actuator retries and dead letters, failed polls, warm crash with a
+  // corrupted snapshot, and a cold reboot.
+  const std::uint32_t crc = agent_pin(
+      "pops=4\nhosts=2\nduration=60\nseed=5\nwan_loss=0.001\n"
+      "policy=adaptive\nhostile=none\n"
+      "faults=@5 actuator-fail 0.5 30; @8 poll-fail 0.3 10; "
+      "@20 crash -1 5 warm; @22 snap-corrupt -1 13; "
+      "@40 crash 0 5 reboot-cold\n",
+      [](ExperimentConfig&) {});
+  EXPECT_EQ(crc, 0x86CBF78Cu) << std::hex << "0x" << crc;
+}
+
+TEST(AgentPinTest, StalenessGuardAndTtlExpiry) {
+  // Sparse probes under long loss bursts: staleness withdrawals and TTL
+  // expiry of idle destinations.
+  const std::uint32_t crc = agent_pin(
+      "pops=4\nhosts=2\nduration=90\nseed=9\nwan_loss=0.001\n"
+      "policy=adaptive\nhostile=none\n"
+      "faults=@10 loss 0-1 0.3 40; @10 loss 0-2 0.3 40\n",
+      [](ExperimentConfig& c) {
+        c.riptide.staleness_guard = true;
+        c.riptide.ttl = Time::seconds(8);
+        c.probe.interval = Time::seconds(20);
+        c.probe.idle_close = Time::seconds(2);
+        c.probe.extra_linger = Time::seconds(2);
+      });
+  EXPECT_EQ(crc, 0x261ECACEu) << std::hex << "0x" << crc;
 }
 
 }  // namespace
