@@ -100,9 +100,9 @@ std::vector<Scenario> default_matrix() {
   // every learned route, cools down, then re-learns.
   matrix.push_back({"gov-rollback", "@60 loss 0-1 0.3 20",
                     [](cdn::ExperimentConfig& config) {
-                      config.riptide.governor_rollback_retrans_fraction = 0.05;
-                      config.riptide.governor_min_packets = 50;
-                      config.riptide.governor_cooldown = sim::Time::seconds(10);
+                      config.riptide.governor.rollback_retrans_fraction = 0.05;
+                      config.riptide.governor.min_packets = 50;
+                      config.riptide.governor.cooldown = sim::Time::seconds(10);
                     }});
   return matrix;
 }
@@ -132,35 +132,6 @@ double recovery_seconds(const SampleSeries& samples, double crash_s,
     }
   }
   return -1.0;
-}
-
-// Sum of the hardening counters across an experiment's agents.
-core::AgentStats agent_totals(const cdn::Experiment& e) {
-  core::AgentStats total;
-  for (const auto& agent : e.agents()) {
-    const core::AgentStats& s = agent->stats();
-    total.polls += s.polls;
-    total.routes_set += s.routes_set;
-    total.routes_expired += s.routes_expired;
-    total.polls_failed += s.polls_failed;
-    total.actuator_failures += s.actuator_failures;
-    total.actuator_retries += s.actuator_retries;
-    total.actuator_dead_letters += s.actuator_dead_letters;
-    total.staleness_decays += s.staleness_decays;
-    total.staleness_withdrawals += s.staleness_withdrawals;
-    total.crashes += s.crashes;
-    total.restarts += s.restarts;
-    total.routes_adopted += s.routes_adopted;
-    total.reconcile_repaired += s.reconcile_repaired;
-    total.reconcile_orphaned += s.reconcile_orphaned;
-    total.reconcile_conflicting += s.reconcile_conflicting;
-    total.governor_budget_scaledowns += s.governor_budget_scaledowns;
-    total.governor_hysteresis_skips += s.governor_hysteresis_skips;
-    total.governor_rollbacks += s.governor_rollbacks;
-    total.governor_routes_rolled_back += s.governor_routes_rolled_back;
-    total.governor_cooldown_polls += s.governor_cooldown_polls;
-  }
-  return total;
 }
 
 // Completion CDF for `size`-byte probes from every source, merged across
@@ -327,24 +298,8 @@ int main(int argc, char** argv) {
         drops.random_loss += d.random_loss;
         drops.link_down += d.link_down;
         drops.no_route += d.no_route;
-        const auto a = agent_totals(e);
-        agents.polls_failed += a.polls_failed;
-        agents.actuator_failures += a.actuator_failures;
-        agents.actuator_retries += a.actuator_retries;
-        agents.actuator_dead_letters += a.actuator_dead_letters;
-        agents.staleness_decays += a.staleness_decays;
-        agents.staleness_withdrawals += a.staleness_withdrawals;
-        agents.crashes += a.crashes;
-        agents.restarts += a.restarts;
+        for (const auto& agent : e.agents()) agents += agent->stats();
         if (!extended) continue;
-        agents.reconcile_repaired += a.reconcile_repaired;
-        agents.reconcile_orphaned += a.reconcile_orphaned;
-        agents.reconcile_conflicting += a.reconcile_conflicting;
-        agents.governor_budget_scaledowns += a.governor_budget_scaledowns;
-        agents.governor_hysteresis_skips += a.governor_hysteresis_skips;
-        agents.governor_rollbacks += a.governor_rollbacks;
-        agents.governor_routes_rolled_back += a.governor_routes_rolled_back;
-        agents.governor_cooldown_polls += a.governor_cooldown_polls;
         if (const auto* harness = faults::FaultHarness::from(e)) {
           const auto p = harness->checkpointer_totals();
           persist_totals.checkpoints_written += p.checkpoints_written;

@@ -110,7 +110,7 @@ void Experiment::build() {
       }
       agents_.push_back(std::make_unique<core::RiptideAgent>(
           sim_, *host, config_.riptide, std::move(programmer),
-          std::move(stats_source), rng_.get()));
+          std::move(stats_source)));
       agents_.back()->start();
     }
   }

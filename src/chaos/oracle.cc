@@ -6,6 +6,7 @@
 #include <string>
 
 #include "cdn/experiment.h"
+#include "cdn/golden.h"
 #include "core/agent.h"
 #include "persist/crc32.h"
 #include "tcp/segment_pool.h"
@@ -19,40 +20,6 @@ namespace {
 // either copy drifts, because "the golden moved" is exactly the class of
 // regression this subsystem hunts.
 constexpr std::uint32_t kGoldenCrc = 0x1B61F592;
-
-// Bit-exact replica of tests/determinism_test.cc serialize_metrics():
-// every observable output of a run, in the same field order and the same
-// formats. Any edit here must be mirrored there (and vice versa) or the
-// golden oracle diverges from the golden test.
-std::string serialize_metrics(const cdn::Experiment& exp) {
-  std::string out;
-  out.reserve(1 << 16);
-  char line[256];
-  for (const auto& f : exp.metrics().flows()) {
-    std::snprintf(line, sizeof line,
-                  "F,%d,%d,%" PRIu64 ",%" PRId64 ",%" PRId64 ",%d,%.17g\n",
-                  f.src_pop, f.dst_pop, f.object_bytes, f.started.ns(),
-                  f.duration.ns(), f.fresh ? 1 : 0, f.base_rtt_ms);
-    out += line;
-  }
-  for (const auto& s : exp.metrics().cwnd_samples()) {
-    std::snprintf(line, sizeof line, "W,%d,%u,%" PRId64 "\n", s.pop,
-                  s.cwnd_segments, s.at.ns());
-    out += line;
-  }
-  for (const auto& agent : exp.agents()) {
-    const auto& st = agent->stats();
-    std::snprintf(line, sizeof line,
-                  "A,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-                  st.polls, st.connections_observed, st.routes_set,
-                  st.routes_expired);
-    out += line;
-  }
-  std::snprintf(line, sizeof line, "S,%" PRId64 "\n",
-                exp.simulator().now().ns());
-  out += line;
-  return out;
-}
 
 // Collects violations with one witness per (oracle, subject): a broken
 // invariant re-fires every poll, and repeating it thousands of times
@@ -88,7 +55,7 @@ void check_poll(core::RiptideAgent& agent, const core::PollOutcome& outcome,
   // by half a segment) and the floor-at-1 of tiny budgets. Skipped while
   // actuator retries are pending: a failed scale-down legitimately
   // leaves the old (larger) window installed until the retry lands.
-  const std::uint32_t budget = agent.config().governor_budget_segments;
+  const std::uint32_t budget = agent.config().governor.budget_segments;
   if (budget > 0 && agent.pending_actuator_ops() == 0) {
     std::uint64_t total = 0;
     for (const auto& [prefix, metrics] : agent.installed_routes()) {
@@ -218,7 +185,7 @@ RunResult run_chaos_spec(const ChaosSpec& spec) {
     }
     exp.run();
     check_teardown(exp, sink);
-    result.fingerprint = persist::crc32(serialize_metrics(exp));
+    result.fingerprint = persist::crc32(cdn::serialize_metrics(exp));
     // (f) Knobs-off determinism: the golden spec at the golden seed must
     // still produce the suite's pinned fingerprint.
     if (spec.golden && spec.seed == 42 && result.fingerprint != kGoldenCrc) {

@@ -18,8 +18,8 @@ struct Violation {
 
 bool operator==(const Violation& a, const Violation& b);
 
-// Everything a chaos run reports. The fingerprint is the CRC-32 of the
-// determinism suite's exact metrics serialization, computed for every
+// Everything a chaos run reports. The fingerprint is the CRC-32 of
+// cdn::serialize_metrics() (the determinism suite's), computed for every
 // run: campaign determinism checks compare it run-to-run, and for golden
 // specs (seed 42) it is judged against the pinned golden CRC.
 struct RunResult {

@@ -5,6 +5,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "cdn/golden.h"
 #include "cdn/pops.h"
 #include "faults/harness.h"
 
@@ -238,30 +239,11 @@ std::string ChaosSpec::to_string() const {
 }
 
 cdn::ExperimentConfig ChaosSpec::to_config() const {
-  cdn::ExperimentConfig config;
-  if (golden) {
-    // Bit-for-bit the golden_config() of tests/determinism_test.cc — the
-    // fingerprint oracle compares against the suite's pinned CRC, so any
-    // divergence here would be indistinguishable from a real regression.
-    config.pop_specs = {
-        {"lon", cdn::Continent::kEurope, {51.51, -0.13}},
-        {"fra", cdn::Continent::kEurope, {50.11, 8.68}},
-        {"nyc", cdn::Continent::kNorthAmerica, {40.71, -74.01}},
-        {"tyo", cdn::Continent::kAsia, {35.68, 139.69}}};
-    config.topology.hosts_per_pop = 1;
-    config.topology.wan_loss_probability = 2e-4;
-    config.topology.seed = seed;
-    config.riptide_enabled = true;
-    config.riptide.update_interval = sim::Time::seconds(1);
-    config.riptide.c_max = 100;
-    config.probe.interval = sim::Time::seconds(5);
-    config.probe.idle_close = sim::Time::seconds(10);
-    config.duration = sim::Time::seconds(60);
-    config.cwnd_sample_interval = sim::Time::seconds(10);
-    config.seed = seed;
-    return config;
-  }
+  // The fingerprint oracle compares golden runs against the determinism
+  // suite's pinned CRC, so they use the very same world.
+  if (golden) return cdn::golden_config(seed);
 
+  cdn::ExperimentConfig config;
   const auto& all_specs = cdn::default_pop_specs();
   config.pop_specs.assign(
       all_specs.begin(),
@@ -288,7 +270,7 @@ cdn::ExperimentConfig ChaosSpec::to_config() const {
       config.riptide.checkpoint_interval = sim::Time::seconds(5);
     }
     if (budget_override > 0) {
-      config.riptide.governor_budget_segments = budget_override;
+      config.riptide.governor.budget_segments = budget_override;
     }
     if (break_hook == "budget") {
       config.riptide.test_skip_budget_enforcement = true;

@@ -31,11 +31,11 @@ struct ChaosSpec {
   cdn::HostileConfig hostile{};
   faults::FaultPlan faults{};
 
-  // Pin the run to the golden-determinism shape of
-  // tests/determinism_test.cc: the exact 4-PoP world whose knobs-off
-  // fingerprint is the repo's golden CRC. When set, the world-shape
-  // fields above are forced to the golden values at parse/generation time
-  // and the fingerprint oracle arms (for seed 42).
+  // Pin the run to the golden-determinism world (cdn::golden_config()):
+  // the exact 4-PoP world whose knobs-off fingerprint is the repo's
+  // golden CRC. When set, the world-shape fields above are forced to the
+  // golden values at parse/generation time and the fingerprint oracle
+  // arms (for seed 42).
   bool golden = false;
 
   // Intentional-regression hooks, so campaigns can prove the oracles

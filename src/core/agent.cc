@@ -5,7 +5,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "host/ss_format.h"
 #include "trace/sink.h"
 
 namespace riptide::core {
@@ -13,8 +12,7 @@ namespace riptide::core {
 RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
                            RiptideConfig config,
                            std::unique_ptr<RouteProgrammer> programmer,
-                           std::unique_ptr<SocketStatsSource> stats_source,
-                           sim::Rng* rng)
+                           std::unique_ptr<SocketStatsSource> stats_source)
     : sim_(sim),
       host_(host),
       config_(config),
@@ -24,8 +22,7 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
                         ? std::move(stats_source)
                         : std::make_unique<HostSocketStatsSource>(host)),
       combiner_(make_combiner(config.combiner)),
-      rng_(rng),
-      governor_(governor_config(config)) {
+      governor_(config.governor) {
   if (config_.alpha < 0.0 || config_.alpha > 1.0) {
     throw std::invalid_argument("RiptideAgent: alpha outside [0, 1]");
   }
@@ -36,14 +33,6 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
       (config_.prefix_length < 1 || config_.prefix_length > 32)) {
     throw std::invalid_argument("RiptideAgent: bad prefix_length");
   }
-  if (config_.poll_jitter_fraction < 0.0 ||
-      config_.poll_jitter_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: poll_jitter_fraction outside [0, 1]");
-  }
-  if (config_.poll_jitter_fraction > 0.0 && rng_ == nullptr) {
-    throw std::invalid_argument("RiptideAgent: poll jitter requires an Rng");
-  }
   if (config_.staleness_decay <= 0.0 || config_.staleness_decay >= 1.0) {
     throw std::invalid_argument(
         "RiptideAgent: staleness_decay outside (0, 1)");
@@ -53,46 +42,41 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
     throw std::invalid_argument(
         "RiptideAgent: staleness_retrans_fraction outside (0, 1]");
   }
-  if (config_.governor_rollback_retrans_fraction < 0.0 ||
-      config_.governor_rollback_retrans_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_rollback_retrans_fraction outside [0, 1]");
-  }
-  if (config_.governor_stage_scale_factor <= 0.0 ||
-      config_.governor_stage_scale_factor >= 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_stage_scale_factor outside (0, 1)");
-  }
-  if (config_.governor_stage_withdraw_fraction <= 0.0 ||
-      config_.governor_stage_withdraw_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_stage_withdraw_fraction outside (0, 1]");
-  }
-  if (config_.governor_storm_backoff_factor < 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_storm_backoff_factor below 1");
-  }
-  if (config_.governor_max_cooldown < config_.governor_cooldown) {
-    throw std::invalid_argument(
-        "RiptideAgent: governor_max_cooldown below governor_cooldown");
-  }
 }
 
-GovernorConfig RiptideAgent::governor_config(const RiptideConfig& config) {
-  return GovernorConfig{
-      .budget_segments = config.governor_budget_segments,
-      .budget_fairness = config.governor_budget_fairness,
-      .hysteresis_segments = config.governor_hysteresis_segments,
-      .rollback_retrans_fraction = config.governor_rollback_retrans_fraction,
-      .min_packets = config.governor_min_packets,
-      .cooldown = config.governor_cooldown,
-      .staged_response = config.governor_staged_response,
-      .stage_scale_factor = config.governor_stage_scale_factor,
-      .stage_withdraw_fraction = config.governor_stage_withdraw_fraction,
-      .storm_backoff_factor = config.governor_storm_backoff_factor,
-      .max_cooldown = config.governor_max_cooldown,
-      .storm_memory = config.governor_storm_memory,
-  };
+AgentStats& operator+=(AgentStats& total, const AgentStats& add) {
+  total.polls += add.polls;
+  total.connections_observed += add.connections_observed;
+  total.destinations_updated += add.destinations_updated;
+  total.routes_set += add.routes_set;
+  total.routes_expired += add.routes_expired;
+  total.trend_resets += add.trend_resets;
+  total.polls_failed += add.polls_failed;
+  total.actuator_failures += add.actuator_failures;
+  total.actuator_retries += add.actuator_retries;
+  total.actuator_dead_letters += add.actuator_dead_letters;
+  total.staleness_decays += add.staleness_decays;
+  total.staleness_withdrawals += add.staleness_withdrawals;
+  total.crashes += add.crashes;
+  total.restarts += add.restarts;
+  total.routes_adopted += add.routes_adopted;
+  total.reconcile_repaired += add.reconcile_repaired;
+  total.reconcile_orphaned += add.reconcile_orphaned;
+  total.reconcile_conflicting += add.reconcile_conflicting;
+  total.governor_budget_scaledowns += add.governor_budget_scaledowns;
+  total.governor_hysteresis_skips += add.governor_hysteresis_skips;
+  total.governor_rollbacks += add.governor_rollbacks;
+  total.governor_routes_rolled_back += add.governor_routes_rolled_back;
+  total.governor_cooldown_polls += add.governor_cooldown_polls;
+  total.governor_stage_scaledowns += add.governor_stage_scaledowns;
+  total.governor_routes_stage_scaled += add.governor_routes_stage_scaled;
+  total.governor_stage_withdrawals += add.governor_stage_withdrawals;
+  total.governor_routes_stage_withdrawn +=
+      add.governor_routes_stage_withdrawn;
+  total.governor_budget_sheds += add.governor_budget_sheds;
+  total.governor_routes_budget_shed += add.governor_routes_budget_shed;
+  total.governor_storm_escalations += add.governor_storm_escalations;
+  return total;
 }
 
 void RiptideAgent::start() {
@@ -101,7 +85,7 @@ void RiptideAgent::start() {
   if (started_once_) ++stats_.restarts;
   started_once_ = true;
 
-  if (config_.adopt_routes_on_start) adopt_existing_routes();
+  adopt_existing_routes();
 
   // Governor deltas measure from process start, not from a predecessor's
   // last poll: whatever retransmissions accumulated while this process
@@ -109,15 +93,7 @@ void RiptideAgent::start() {
   prev_host_retrans_ = host_.total_retransmissions();
   prev_host_packets_ = host_.stats().packets_sent;
 
-  // Deterministic per-agent phase offset: co-located agents started at the
-  // same instant otherwise poll — and program routes — in lockstep.
-  sim::Time phase = sim::Time::zero();
-  if (config_.poll_jitter_fraction > 0.0) {
-    phase = sim::Time::from_seconds(config_.poll_jitter_fraction *
-                                    config_.update_interval.to_seconds() *
-                                    rng_->uniform(0.0, 1.0));
-  }
-  poll_timer_ = sim_.schedule_periodic(config_.update_interval + phase,
+  poll_timer_ = sim_.schedule_periodic(config_.update_interval,
                                        config_.update_interval,
                                        [this] { poll_once(); });
 }
@@ -137,7 +113,7 @@ void RiptideAgent::crash() {
   table_ = ObservedTable{};
   seen_counters_.clear();
   installed_.clear();
-  governor_ = SafetyGovernor{governor_config(config_)};
+  governor_ = SafetyGovernor{config_.governor};
   ++stats_.crashes;
 }
 
@@ -157,11 +133,8 @@ void RiptideAgent::restore_table(ObservedTable snapshot,
     const double final_window = clamp_window(state.final_window_segments);
     table_.put(destination,
                DestinationState{final_window, now, state.updates});
-    const auto initcwnd =
-        static_cast<std::uint32_t>(std::lround(final_window));
-    const std::uint32_t initrwnd =
-        config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
-    program_route(destination, initcwnd, initrwnd);
+    program(destination, static_cast<std::uint32_t>(std::lround(final_window)),
+            Audit{});
   }
 }
 
@@ -242,6 +215,21 @@ void RiptideAgent::trace_governor_state(GovernorState from, GovernorState to,
   sink->emit(ev);
 }
 
+void RiptideAgent::trace_audit(const Audit& audit, const net::Prefix& dst,
+                              const host::RouteMetrics& metrics) {
+  switch (audit.kind) {
+    case Audit::Kind::kNone:
+      return;
+    case Audit::Kind::kProgram:
+      trace_program(audit.verdict, dst, audit.value, metrics.initcwnd_segments,
+                    metrics.initrwnd_segments);
+      return;
+    case Audit::Kind::kRoute:
+      trace_route(audit.cause, dst, audit.value);
+      return;
+  }
+}
+
 net::Prefix RiptideAgent::destination_key(net::Ipv4Address peer) const {
   if (config_.granularity == Granularity::kHost) return net::Prefix::host(peer);
   return net::Prefix(peer, config_.prefix_length);
@@ -253,35 +241,43 @@ double RiptideAgent::clamp_window(double value) const {
 }
 
 // ------------------------------------------------------------------------
-// Actuator path with bounded retry.
+// The one route-write path, with bounded retry.
 
-void RiptideAgent::program_route(const net::Prefix& dst,
-                                 std::uint32_t initcwnd,
-                                 std::uint32_t initrwnd) {
+host::RouteMetrics RiptideAgent::route_metrics(std::uint32_t initcwnd) const {
+  return host::RouteMetrics{
+      initcwnd, config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0,
+      config_.route_cc};
+}
+
+void RiptideAgent::program(const net::Prefix& dst, std::uint32_t initcwnd,
+                           const Audit& audit) {
+  const host::RouteMetrics metrics = route_metrics(initcwnd);
+  trace_audit(audit, dst, metrics);
   try {
-    programmer_->set_initial_windows(dst, initcwnd, initrwnd,
-                                     config_.route_cc);
+    programmer_->set_initial_windows(dst, metrics.initcwnd_segments,
+                                     metrics.initrwnd_segments, metrics.cc);
   } catch (const std::exception&) {
     ++stats_.actuator_failures;
-    handle_actuator_failure(dst, initcwnd, initrwnd, /*clear=*/false);
+    retry_later(dst, initcwnd, /*clear=*/false);
     return;
   }
   ++stats_.routes_set;
   // Record the cc too: the reconciler compares installed_ against the live
   // table with operator==, so omitting it would read as a per-poll conflict.
-  installed_[dst] = host::RouteMetrics{initcwnd, initrwnd, config_.route_cc};
+  installed_[dst] = metrics;
   if (const auto it = pending_ops_.find(dst); it != pending_ops_.end()) {
     it->second.timer.cancel();
     pending_ops_.erase(it);
   }
 }
 
-void RiptideAgent::withdraw_route(const net::Prefix& dst) {
+void RiptideAgent::withdraw(const net::Prefix& dst, const Audit& audit) {
+  trace_audit(audit, dst, host::RouteMetrics{});
   try {
     programmer_->clear(dst);
   } catch (const std::exception&) {
     ++stats_.actuator_failures;
-    handle_actuator_failure(dst, 0, 0, /*clear=*/true);
+    retry_later(dst, 0, /*clear=*/true);
     return;
   }
   installed_.erase(dst);
@@ -291,17 +287,14 @@ void RiptideAgent::withdraw_route(const net::Prefix& dst) {
   }
 }
 
-void RiptideAgent::handle_actuator_failure(const net::Prefix& dst,
-                                           std::uint32_t initcwnd,
-                                           std::uint32_t initrwnd,
-                                           bool clear) {
+void RiptideAgent::retry_later(const net::Prefix& dst, std::uint32_t initcwnd,
+                               bool clear) {
   auto& op = pending_ops_[dst];
   op.timer.cancel();
   // A newer decision supersedes whatever was pending, but the attempt
   // count carries over: the actuator has been failing for this
   // destination the whole time.
   op.initcwnd = initcwnd;
-  op.initrwnd = initrwnd;
   op.clear = clear;
   ++op.attempts;
   if (op.attempts > config_.actuator_max_retries) {
@@ -320,27 +313,12 @@ void RiptideAgent::handle_actuator_failure(const net::Prefix& dst,
 void RiptideAgent::retry_pending(const net::Prefix& dst) {
   const auto it = pending_ops_.find(dst);
   if (it == pending_ops_.end()) return;
-  const PendingOp op = it->second;  // copy: the map may rehome on failure
-  try {
-    if (op.clear) {
-      programmer_->clear(dst);
-    } else {
-      programmer_->set_initial_windows(dst, op.initcwnd, op.initrwnd,
-                                       config_.route_cc);
-    }
-  } catch (const std::exception&) {
-    ++stats_.actuator_failures;
-    handle_actuator_failure(dst, op.initcwnd, op.initrwnd, op.clear);
-    return;
-  }
-  if (op.clear) {
-    installed_.erase(dst);
+  // The retry replays a decision already traced when it was first made.
+  if (it->second.clear) {
+    withdraw(dst, Audit{});
   } else {
-    ++stats_.routes_set;
-    installed_[dst] =
-        host::RouteMetrics{op.initcwnd, op.initrwnd, config_.route_cc};
+    program(dst, it->second.initcwnd, Audit{});
   }
-  pending_ops_.erase(dst);
 }
 
 void RiptideAgent::cancel_pending_ops() {
@@ -349,74 +327,9 @@ void RiptideAgent::cancel_pending_ops() {
 }
 
 // ------------------------------------------------------------------------
-// Staleness guard.
-
-std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>
-RiptideAgent::retransmit_deltas(
-    const std::vector<host::SocketInfo>& snapshot) {
-  std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>> deltas;
-  if (!config_.staleness_guard) return deltas;
-  for (auto& [tuple, counters] : seen_counters_) {
-    counters.seen_this_poll = false;
-  }
-  for (const auto& info : snapshot) {
-    if (info.state != tcp::TcpState::kEstablished) continue;
-    auto& prev = seen_counters_[info.tuple];
-    // Counters are cumulative per connection; a tuple reappearing with
-    // smaller values is a new connection reusing the tuple.
-    const std::uint64_t d_retrans =
-        info.retransmissions >= prev.retransmissions
-            ? info.retransmissions - prev.retransmissions
-            : info.retransmissions;
-    const std::uint64_t d_sent = info.segments_sent >= prev.segments_sent
-                                     ? info.segments_sent - prev.segments_sent
-                                     : info.segments_sent;
-    prev = SeenCounters{info.retransmissions, info.segments_sent, true};
-    auto& slot = deltas[destination_key(info.tuple.remote_addr)];
-    slot.first += d_retrans;
-    slot.second += d_sent;
-  }
-  std::erase_if(seen_counters_,
-                [](const auto& kv) { return !kv.second.seen_this_poll; });
-  return deltas;
-}
-
-void RiptideAgent::apply_staleness_guard(
-    const std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>&
-        deltas,
-    sim::Time now) {
-  for (const auto& [dst, delta] : deltas) {
-    const auto& [d_retrans, d_sent] = delta;
-    if (d_sent < config_.staleness_min_segments) continue;
-    if (static_cast<double>(d_retrans) <
-        config_.staleness_retrans_fraction * static_cast<double>(d_sent)) {
-      continue;
-    }
-    const DestinationState* state = table_.find(dst);
-    if (state == nullptr) continue;
-    const double decayed =
-        state->final_window_segments * config_.staleness_decay;
-    if (decayed <= static_cast<double>(config_.c_min)) {
-      // The learned window has decayed to the floor and the path is still
-      // hurting: withdraw outright, restoring the default initial window.
-      table_.erase(dst);
-      trace_route(trace::RouteCause::kStalenessWithdraw, dst, 0.0);
-      withdraw_route(dst);
-      ++stats_.staleness_withdrawals;
-    } else {
-      trace_route(trace::RouteCause::kStalenessDecay, dst, decayed);
-      table_.store_final(dst, decayed, now);
-      const auto initcwnd =
-          static_cast<std::uint32_t>(std::lround(decayed));
-      const std::uint32_t initrwnd =
-          config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
-      program_route(dst, initcwnd, initrwnd);
-      ++stats_.staleness_decays;
-    }
-  }
-}
-
-// ------------------------------------------------------------------------
+// The poll: Algorithm 1 as a sequence of named stages. A stage that ends
+// the poll early returns false; the outcome tells the post-poll hook how
+// far the poll got.
 
 void RiptideAgent::poll_once() {
   const PollOutcome outcome = poll_once_impl();
@@ -430,109 +343,104 @@ PollOutcome RiptideAgent::poll_once_impl() {
   PollOutcome outcome;
   ++stats_.polls;
   const sim::Time now = sim_.now();
-
-  // 0. Safety governor: host-wide health gates everything else. The
-  // retransmit deltas are maintained every poll — including cooldown
-  // polls — so the first poll after cooldown judges only the cooldown
-  // window, not the incident that triggered the rollback.
-  if (governor_.rollback_enabled()) {
-    const std::uint64_t host_retrans = host_.total_retransmissions();
-    const std::uint64_t host_packets = host_.stats().packets_sent;
-    const std::uint64_t d_retrans = host_retrans - prev_host_retrans_;
-    const std::uint64_t d_packets = host_packets - prev_host_packets_;
-    prev_host_retrans_ = host_retrans;
-    prev_host_packets_ = host_packets;
-    const double fraction =
-        d_packets > 0 ? static_cast<double>(d_retrans) /
-                            static_cast<double>(d_packets)
-                      : 0.0;
-    const GovernorState pre = governor_.state();
-    if (governor_.in_cooldown(now)) {
-      ++stats_.governor_cooldown_polls;
-      return outcome;
-    }
-    if (pre == GovernorState::kCooldown) {
-      // in_cooldown just performed the expiry transition back to normal.
-      trace_governor_state(pre, GovernorState::kNormal,
-                           trace::GovernorCause::kRecovered, fraction, 0);
-    }
-    if (governor_.staged()) {
-      const GovernorState before = governor_.state();
-      switch (governor_.assess(d_retrans, d_packets, now)) {
-        case StagedAction::kScaleDown:
-          staged_scale_down(before, fraction);
-          return outcome;
-        case StagedAction::kSelectiveWithdraw:
-          staged_selective_withdraw(before, fraction);
-          return outcome;
-        case StagedAction::kRollback:
-          emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
-          return outcome;
-        case StagedAction::kNone:
-          if (before != governor_.state()) {
-            // A healthy window de-escalated the ladder back to normal.
-            trace_governor_state(before, governor_.state(),
-                                 trace::GovernorCause::kRecovered, fraction,
-                                 0);
-          }
-          break;
-      }
-    } else if (governor_.should_rollback(d_retrans, d_packets, now)) {
-      emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
-      return outcome;
-    }
-  }
-
-  // 0.5. Reconcile against the live routing table before acting on fresh
-  // observations: drift since the last poll (externally deleted or
-  // mangled routes, orphans) is detected and counted here, where the
-  // programming pass below would otherwise silently paper over it.
+  if (!governor_gate(now)) return outcome;
+  // Reconcile before acting on fresh observations: drift since the last
+  // poll is detected and counted here, where the programming below would
+  // otherwise silently paper over it.
   if (config_.reconcile_routes) {
     reconcile_route_table();
     outcome.reconciled = true;
   }
-
-  // 1. Snapshot open connections. A failed poll is "no information", not
-  // "no connections": skip folding *and* expiry — withdrawing routes
-  // because the observer glitched would churn windows on healthy paths.
   std::vector<host::SocketInfo> snapshot;
+  if (!take_snapshot(snapshot)) return outcome;
+  outcome.snapshot_ok = true;
+  observe(snapshot);
+  decide(now);
+  budget();
+  actuate();
+  staleness_guard(snapshot, now);
+  expire(now);
+  outcome.completed = true;
+  return outcome;
+}
+
+bool RiptideAgent::governor_gate(sim::Time now) {
+  if (!governor_.rollback_enabled()) return true;
+  // The retransmit deltas are maintained every poll — including cooldown
+  // polls — so the first poll after cooldown judges only the cooldown
+  // window, not the incident that triggered the rollback.
+  const std::uint64_t host_retrans = host_.total_retransmissions();
+  const std::uint64_t host_packets = host_.stats().packets_sent;
+  const std::uint64_t d_retrans = host_retrans - prev_host_retrans_;
+  const std::uint64_t d_packets = host_packets - prev_host_packets_;
+  prev_host_retrans_ = host_retrans;
+  prev_host_packets_ = host_packets;
+  const double fraction = d_packets > 0 ? static_cast<double>(d_retrans) /
+                                              static_cast<double>(d_packets)
+                                        : 0.0;
+  const GovernorState pre = governor_.state();
+  if (governor_.in_cooldown(now)) {
+    ++stats_.governor_cooldown_polls;
+    return false;
+  }
+  if (pre == GovernorState::kCooldown) {
+    // in_cooldown just performed the expiry transition back to normal.
+    trace_governor_state(pre, GovernorState::kNormal,
+                         trace::GovernorCause::kRecovered, fraction, 0);
+  }
+  if (!governor_.staged()) {
+    if (!governor_.should_rollback(d_retrans, d_packets, now)) return true;
+    emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
+    return false;
+  }
+  const GovernorState before = governor_.state();
+  switch (governor_.assess(d_retrans, d_packets, now)) {
+    case StagedAction::kScaleDown:
+      staged_scale_down(before, fraction);
+      return false;
+    case StagedAction::kSelectiveWithdraw:
+      staged_selective_withdraw(before, fraction);
+      return false;
+    case StagedAction::kRollback:
+      emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
+      return false;
+    case StagedAction::kNone:
+      break;
+  }
+  if (before != governor_.state()) {
+    // A healthy window de-escalated the ladder back to normal.
+    trace_governor_state(before, governor_.state(),
+                         trace::GovernorCause::kRecovered, fraction, 0);
+  }
+  return true;
+}
+
+bool RiptideAgent::take_snapshot(std::vector<host::SocketInfo>& snapshot) {
+  // A failed poll is "no information", not "no connections": the caller
+  // skips folding *and* expiry — withdrawing routes because the observer
+  // glitched would churn windows on healthy paths.
   try {
     snapshot = stats_source_->poll();
   } catch (const PollError&) {
     ++stats_.polls_failed;
-    return outcome;
+    return false;
   }
-  outcome.snapshot_ok = true;
+  return true;
+}
 
-  // 2. Group by destination. Either read the snapshot directly or go
-  // through the textual `ss` round-trip, exactly as the paper's
-  // user-space script does. Observations are collected into one flat
-  // scratch buffer and stably sorted by destination, so each group is a
-  // contiguous run handed to the combiner as a span — the former
-  // map<Prefix, vector<Observation>> cost a node allocation plus a vector
-  // per destination on every poll. The stable sort keeps snapshot order
-  // within a destination, so combiner input order (and therefore float
-  // summation order) is exactly what the map grouping produced.
+void RiptideAgent::observe(const std::vector<host::SocketInfo>& snapshot) {
+  // Observations are collected into one flat scratch buffer and stably
+  // sorted by destination, so each group is a contiguous run handed to
+  // the combiner as a span. The stable sort keeps snapshot order within a
+  // destination, which fixes the combiner's float summation order.
   poll_scratch_.clear();
-  if (config_.via_text_interface) {
-    const std::string text = host::format_socket_stats(snapshot);
-    for (const auto& info : host::parse_socket_stats(text)) {
-      if (info.state != tcp::TcpState::kEstablished) continue;
-      ++stats_.connections_observed;
-      poll_scratch_.push_back(
-          {destination_key(info.remote_addr),
-           Observation{static_cast<double>(info.cwnd_segments),
-                       info.bytes_acked}});
-    }
-  } else {
-    for (const auto& info : snapshot) {
-      if (info.state != tcp::TcpState::kEstablished) continue;
-      ++stats_.connections_observed;
-      poll_scratch_.push_back(
-          {destination_key(info.tuple.remote_addr),
-           Observation{static_cast<double>(info.cwnd_segments),
-                       info.bytes_acked}});
-    }
+  for (const auto& info : snapshot) {
+    if (info.state != tcp::TcpState::kEstablished) continue;
+    ++stats_.connections_observed;
+    poll_scratch_.push_back(
+        {destination_key(info.tuple.remote_addr),
+         Observation{static_cast<double>(info.cwnd_segments),
+                     info.bytes_acked}});
   }
   std::stable_sort(poll_scratch_.begin(), poll_scratch_.end(),
                    [](const DestObservation& a, const DestObservation& b) {
@@ -541,18 +449,12 @@ PollOutcome RiptideAgent::poll_once_impl() {
   poll_observations_.clear();
   poll_observations_.reserve(poll_scratch_.size());
   for (const auto& d : poll_scratch_) poll_observations_.push_back(d.obs);
+}
 
-  // Retransmit-rate deltas for the staleness guard (empty when disabled).
-  // Computed from the snapshot either way: the text format round-trips
-  // retrans/segs_out, so both surfaces carry identical information.
-  const auto deltas = retransmit_deltas(snapshot);
-
-  // 3-4. Combine, fold history, clamp. Programming is deferred until all
-  // destinations have folded so the governor's budget can be judged over
-  // the whole table; the program sequence below runs in the same
-  // ascending destination order this loop always has.
-  std::vector<std::pair<net::Prefix, double>> decisions;
-  decisions.reserve(poll_scratch_.size());
+void RiptideAgent::decide(sim::Time now) {
+  // Every destination folds before anything is programmed, so the budget
+  // can be judged over the whole table.
+  decisions_.clear();
   for (std::size_t i = 0; i < poll_scratch_.size();) {
     const net::Prefix destination = poll_scratch_[i].destination;
     std::size_t j = i + 1;
@@ -563,7 +465,6 @@ PollOutcome RiptideAgent::poll_once_impl() {
     const std::span<const Observation> observations(
         poll_observations_.data() + i, j - i);
     i = j;
-    if (observations.size() < config_.min_samples) continue;
     const double observed = combiner_->combine(observations);
 
     // Trend guard (§V): a cliff-drop of the observation signals an
@@ -592,7 +493,7 @@ PollOutcome RiptideAgent::poll_once_impl() {
       capped = true;
     }
     table_.store_final(destination, final_window, now);
-    decisions.emplace_back(destination, final_window);
+    decisions_.emplace_back(destination, final_window);
     ++stats_.destinations_updated;
     if (auto* sink = trace::active()) {
       trace::TraceEvent ev;
@@ -610,243 +511,224 @@ PollOutcome RiptideAgent::poll_once_impl() {
       sink->emit(ev);
     }
   }
+}
 
-  // Governor budget: when the whole table wants more total initcwnd than
-  // the host is allowed, enforcement follows the configured fairness —
-  // proportional (every program this poll shrinks by budget/total) or
-  // shed-newest (senior routes keep their windows; the freshest are
-  // withdrawn until the total fits). The table keeps the unscaled learned
-  // values either way — the budget caps what is *installed*, not what is
-  // known.
-  double scale = 1.0;
-  std::map<net::Prefix, std::uint32_t, net::PrefixOrder> admissions;
-  const bool shed_fairness = !config_.test_skip_budget_enforcement &&
-                             governor_.config().budget_segments > 0 &&
-                             governor_.config().budget_fairness ==
-                                 BudgetFairness::kShedNewest;
-  if (config_.test_skip_budget_enforcement) {
-    // Chaos-search fault hook: the budget stays configured but is not
-    // enforced, so the budget oracle can prove it catches the regression.
-  } else if (shed_fairness) {
-    admissions = budget_shed_admissions();
-    if (!admissions.empty()) ++stats_.governor_budget_sheds;
-  } else if (governor_.config().budget_segments > 0) {
-    double total_desired = 0.0;
-    for (const auto& [destination, state] : table_.entries()) {
-      total_desired += state.final_window_segments;
-    }
-    scale = governor_.budget_scale(total_desired);
-    if (scale < 1.0) ++stats_.governor_budget_scaledowns;
+void RiptideAgent::budget() {
+  // One answer per poll: the most each destination may install, 0 meaning
+  // shed. The table keeps the unscaled learned values — the budget caps
+  // what is *installed*, not what is known.
+  budget_windows_.clear();
+  budget_scale_ = 1.0;
+  // Chaos-search fault hook: the budget stays configured but is not
+  // enforced, so the budget oracle can prove it catches the regression.
+  if (config_.test_skip_budget_enforcement) return;
+  budget_scale_ = governor_.budget_windows(table_, budget_windows_);
+  if (budget_windows_.empty()) return;
+  if (governor_.shed_newest()) {
+    ++stats_.governor_budget_sheds;
+  } else {
+    ++stats_.governor_budget_scaledowns;
   }
-  const bool shed_active = !admissions.empty();
-  std::uint32_t shed_this_poll = 0;
+}
 
-  // 5. Program routes, still in ascending destination order.
-  for (const auto& [destination, final_window] : decisions) {
-    const double target = scale < 1.0 ? final_window * scale : final_window;
+const std::uint32_t* RiptideAgent::budget_window(
+    const net::Prefix& dst) const {
+  const auto it = std::lower_bound(
+      budget_windows_.begin(), budget_windows_.end(), dst,
+      [](const BudgetWindow& w, const net::Prefix& p) {
+        return net::PrefixOrder{}(w.destination, p);
+      });
+  if (it == budget_windows_.end() || it->destination != dst) return nullptr;
+  return &it->window;
+}
+
+void RiptideAgent::actuate() {
+  const std::uint64_t shed_before = stats_.governor_routes_budget_shed;
+  for (const auto& [destination, final_window] : decisions_) {
     auto initcwnd = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(std::lround(target)));
-    bool budget_bound = scale < 1.0;
+        1, static_cast<std::uint32_t>(std::lround(final_window)));
+    bool budget_bound = false;
     trace::ProgramVerdict verdict = trace::ProgramVerdict::kProgrammed;
-    if (shed_active) {
-      const auto ait = admissions.find(destination);
-      const std::uint32_t admit = ait != admissions.end() ? ait->second : 0;
-      if (admit == 0) {
+    if (const std::uint32_t* cap = budget_window(destination)) {
+      if (*cap == 0) {
         // Shed: too junior for the budget. Any installed boost comes out;
         // the destination rides the default initial window until either
         // the budget frees up or its seniority grows.
         if (installed_.contains(destination) ||
             pending_ops_.contains(destination)) {
-          trace_route(trace::RouteCause::kBudgetShed, destination, 0.0);
-          withdraw_route(destination);
+          withdraw(destination, Audit::route(trace::RouteCause::kBudgetShed));
           ++stats_.governor_routes_budget_shed;
-          ++shed_this_poll;
         }
         continue;
       }
-      if (admit < initcwnd) {
-        initcwnd = admit;
+      // A proportional scale binds every window this poll (the trace shows
+      // it as the scale); a shed-newest cap binds only the windows it cuts.
+      if (!governor_.shed_newest()) {
+        budget_bound = true;
+      } else if (*cap < initcwnd) {
         budget_bound = true;
         verdict = trace::ProgramVerdict::kBudgetShrink;
       }
+      initcwnd = std::min(initcwnd, *cap);
     }
-    const std::uint32_t initrwnd =
-        config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
+    // Hysteresis damps churn, never a shrink the budget demands.
     if (const auto it = installed_.find(destination);
         it != installed_.end() &&
         governor_.within_hysteresis(it->second.initcwnd_segments, initcwnd) &&
         !(budget_bound && initcwnd < it->second.initcwnd_segments)) {
       ++stats_.governor_hysteresis_skips;
-      trace_program(trace::ProgramVerdict::kHysteresisSkip, destination, scale,
-                    initcwnd, initrwnd);
+      trace_program(trace::ProgramVerdict::kHysteresisSkip, destination,
+                    budget_scale_, initcwnd,
+                    route_metrics(initcwnd).initrwnd_segments);
       continue;
     }
-    trace_program(verdict, destination, scale, initcwnd, initrwnd);
-    program_route(destination, initcwnd, initrwnd);
+    program(destination, initcwnd, Audit::program(verdict, budget_scale_));
   }
+  budget_sweep(shed_before);
+}
 
+void RiptideAgent::budget_sweep(std::uint64_t shed_before) {
+  if (budget_windows_.empty()) return;
   // The budget is host-wide: routes installed by earlier polls, whose
-  // destinations saw no fresh samples this poll, must shrink too — the
-  // decisions loop above never visits them, so without this sweep the
-  // installed sum can stay over budget indefinitely. Shrinking to budget
-  // is a safety action, not churn, so hysteresis does not apply. Collect
-  // first: program_route mutates installed_.
-  if (scale < 1.0) {
-    std::vector<std::pair<net::Prefix, std::uint32_t>> shrink;
-    for (const auto& [destination, metrics] : installed_) {
-      const DestinationState* state = table_.find(destination);
-      if (state == nullptr) continue;  // expiry below withdraws it
-      const auto target = std::max<std::uint32_t>(
-          1, static_cast<std::uint32_t>(
-                 std::lround(state->final_window_segments * scale)));
-      if (metrics.initcwnd_segments > target) {
-        shrink.emplace_back(destination, target);
-      }
-    }
-    for (const auto& [destination, initcwnd] : shrink) {
-      const std::uint32_t initrwnd =
-          config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
-      trace_program(trace::ProgramVerdict::kBudgetShrink, destination, scale,
-                    initcwnd, initrwnd);
-      program_route(destination, initcwnd, initrwnd);
+  // destinations saw no fresh samples this poll, are shed or shrunk by
+  // the same answer — the decisions never visit them, so without this
+  // sweep the installed sum could stay over budget indefinitely. Sheds go
+  // first, then shrinks; shrinking to budget is a safety action, not
+  // churn, so hysteresis does not apply. Collect first: the writes mutate
+  // installed_.
+  sweep_.clear();
+  for (const auto& [destination, metrics] : installed_) {
+    const std::uint32_t* cap = budget_window(destination);
+    if (cap == nullptr) continue;  // not in the table: expiry withdraws it
+    if (*cap == 0 || *cap < metrics.initcwnd_segments) {
+      sweep_.emplace_back(destination, *cap);
     }
   }
-
-  // Shed-newest is host-wide too: routes installed by earlier polls whose
-  // destinations saw no fresh samples still count against the budget, so
-  // they are shed or shrunk by the same admission set. Collect first:
-  // program_route/withdraw_route mutate installed_.
-  if (shed_active) {
-    std::vector<net::Prefix> shed;
-    std::vector<std::pair<net::Prefix, std::uint32_t>> shrink;
-    for (const auto& [destination, metrics] : installed_) {
-      const auto ait = admissions.find(destination);
-      if (ait == admissions.end()) continue;  // expiry below withdraws it
-      if (ait->second == 0) {
-        shed.push_back(destination);
-      } else if (metrics.initcwnd_segments > ait->second) {
-        shrink.emplace_back(destination, ait->second);
-      }
-    }
-    for (const auto& destination : shed) {
-      trace_route(trace::RouteCause::kBudgetShed, destination, 0.0);
-      withdraw_route(destination);
-      ++stats_.governor_routes_budget_shed;
-      ++shed_this_poll;
-    }
-    for (const auto& [destination, initcwnd] : shrink) {
-      const std::uint32_t initrwnd =
-          config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
-      trace_program(trace::ProgramVerdict::kBudgetShrink, destination, scale,
-                    initcwnd, initrwnd);
-      program_route(destination, initcwnd, initrwnd);
-    }
+  for (const auto& [destination, cap] : sweep_) {
+    if (cap != 0) continue;
+    withdraw(destination, Audit::route(trace::RouteCause::kBudgetShed));
+    ++stats_.governor_routes_budget_shed;
+  }
+  for (const auto& [destination, cap] : sweep_) {
+    if (cap == 0) continue;
+    program(destination, cap,
+            Audit::program(trace::ProgramVerdict::kBudgetShrink,
+                           budget_scale_));
+  }
+  if (governor_.shed_newest()) {
     // Budget pressure is a governor decision even though the state machine
     // does not move: annotate the timeline so audits see the cause.
-    trace_governor_state(governor_.state(), governor_.state(),
-                         trace::GovernorCause::kBudget, 0.0, shed_this_poll);
+    trace_governor_state(
+        governor_.state(), governor_.state(), trace::GovernorCause::kBudget,
+        0.0,
+        static_cast<std::uint32_t>(stats_.governor_routes_budget_shed -
+                                   shed_before));
   }
+}
 
-  // §V hardening: destinations retransmitting heavily under a learned
-  // window get decayed or withdrawn, even if their current cwnds still
-  // look healthy (the damage shows in loss recovery before it shows in
-  // the window average).
-  apply_staleness_guard(deltas, now);
+// §V hardening: destinations retransmitting heavily under a learned window
+// get decayed or withdrawn, even if their current cwnds still look healthy
+// (the damage shows in loss recovery before it shows in the window
+// average).
+void RiptideAgent::staleness_guard(
+    const std::vector<host::SocketInfo>& snapshot, sim::Time now) {
+  if (!config_.staleness_guard) return;
+  for (const auto& [dst, delta] : retransmit_deltas(snapshot)) {
+    const auto& [d_retrans, d_sent] = delta;
+    if (d_sent < config_.staleness_min_segments) continue;
+    if (static_cast<double>(d_retrans) <
+        config_.staleness_retrans_fraction * static_cast<double>(d_sent)) {
+      continue;
+    }
+    const DestinationState* state = table_.find(dst);
+    if (state == nullptr) continue;
+    const double decayed =
+        state->final_window_segments * config_.staleness_decay;
+    if (decayed <= static_cast<double>(config_.c_min)) {
+      // The learned window has decayed to the floor and the path is still
+      // hurting: withdraw outright, restoring the default initial window.
+      table_.erase(dst);
+      withdraw(dst, Audit::route(trace::RouteCause::kStalenessWithdraw));
+      ++stats_.staleness_withdrawals;
+    } else {
+      table_.store_final(dst, decayed, now);
+      program(dst, static_cast<std::uint32_t>(std::lround(decayed)),
+              Audit::route(trace::RouteCause::kStalenessDecay, decayed));
+      ++stats_.staleness_decays;
+    }
+  }
+}
 
-  // 6. Expire stale destinations, restoring default windows.
+std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>
+RiptideAgent::retransmit_deltas(
+    const std::vector<host::SocketInfo>& snapshot) {
+  std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>> deltas;
+  for (auto& [tuple, counters] : seen_counters_) {
+    counters.seen_this_poll = false;
+  }
+  for (const auto& info : snapshot) {
+    if (info.state != tcp::TcpState::kEstablished) continue;
+    auto& prev = seen_counters_[info.tuple];
+    // Counters are cumulative per connection; a tuple reappearing with
+    // smaller values is a new connection reusing the tuple.
+    const std::uint64_t d_retrans =
+        info.retransmissions >= prev.retransmissions
+            ? info.retransmissions - prev.retransmissions
+            : info.retransmissions;
+    const std::uint64_t d_sent = info.segments_sent >= prev.segments_sent
+                                     ? info.segments_sent - prev.segments_sent
+                                     : info.segments_sent;
+    prev = SeenCounters{info.retransmissions, info.segments_sent, true};
+    auto& slot = deltas[destination_key(info.tuple.remote_addr)];
+    slot.first += d_retrans;
+    slot.second += d_sent;
+  }
+  std::erase_if(seen_counters_,
+                [](const auto& kv) { return !kv.second.seen_this_poll; });
+  return deltas;
+}
+
+void RiptideAgent::expire(sim::Time now) {
+  // Destinations unseen for `ttl` lose their routes, restoring the default
+  // initial window.
   for (const auto& destination : table_.expire(now, config_.ttl)) {
-    trace_route(trace::RouteCause::kExpired, destination, 0.0);
-    withdraw_route(destination);
+    withdraw(destination, Audit::route(trace::RouteCause::kExpired));
     ++stats_.routes_expired;
   }
-  outcome.completed = true;
-  return outcome;
 }
+
+// ------------------------------------------------------------------------
+// Governor actions and reconciliation.
 
 void RiptideAgent::manual_rollback() {
   emergency_rollback(sim_.now(), 0.0, trace::GovernorCause::kManual);
-}
-
-// Seniority order for shedding decisions: a destination that has survived
-// many poll rounds has earned its window; one first seen a poll or two ago
-// has not. The table has no first-seen timestamp (the snapshot codec pins
-// the record layout), so the update count is the seniority measure, with
-// the last-refresh time and then the prefix order as deterministic
-// tie-breaks.
-std::map<net::Prefix, std::uint32_t, net::PrefixOrder>
-RiptideAgent::budget_shed_admissions() const {
-  std::map<net::Prefix, std::uint32_t, net::PrefixOrder> admitted;
-  const std::uint32_t budget = governor_.config().budget_segments;
-  struct Candidate {
-    net::Prefix destination;
-    std::uint32_t window;
-    std::uint64_t updates;
-    sim::Time last_updated;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(table_.size());
-  std::uint64_t total = 0;
-  for (const auto& [destination, state] : table_.entries()) {
-    const auto window = std::max<std::uint32_t>(
-        1,
-        static_cast<std::uint32_t>(std::lround(state.final_window_segments)));
-    candidates.push_back(
-        {destination, window, state.updates, state.last_updated});
-    total += window;
-  }
-  if (total <= budget) return admitted;  // empty = no enforcement needed
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.updates != b.updates) return a.updates > b.updates;
-              if (a.last_updated != b.last_updated) {
-                return a.last_updated < b.last_updated;
-              }
-              return net::PrefixOrder{}(a.destination, b.destination);
-            });
-  // Greedy whole-window admission, oldest first. The first window that no
-  // longer fits gets whatever is left (a partial boost still beats the
-  // default); everything junior to it is shed outright.
-  std::uint32_t remaining = budget;
-  for (const auto& candidate : candidates) {
-    if (candidate.window <= remaining) {
-      admitted[candidate.destination] = candidate.window;
-      remaining -= candidate.window;
-    } else {
-      admitted[candidate.destination] = remaining;
-      remaining = 0;
-    }
-  }
-  return admitted;
 }
 
 void RiptideAgent::staged_scale_down(GovernorState from,
                                      double retrans_fraction) {
   // Stage 1: keep every route but halve (by stage_scale_factor) what it
   // may burst. The learned table keeps the unscaled values: a healthy
-  // window next poll reprograms them at full size. Collect first —
-  // program_route mutates installed_.
-  std::vector<std::pair<net::Prefix, std::uint32_t>> scaled;
+  // window next poll reprograms them at full size. Collect first — the
+  // writes mutate installed_.
+  const double factor = governor_.config().stage_scale_factor;
+  sweep_.clear();
   for (const auto& [destination, metrics] : installed_) {
     const auto target = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(
-               std::lround(metrics.initcwnd_segments *
-                           governor_.config().stage_scale_factor)));
+               std::lround(metrics.initcwnd_segments * factor)));
     if (target < metrics.initcwnd_segments) {
-      scaled.emplace_back(destination, target);
+      sweep_.emplace_back(destination, target);
     }
   }
-  for (const auto& [destination, initcwnd] : scaled) {
-    const std::uint32_t initrwnd =
-        config_.set_initrwnd ? std::max(config_.c_max, initcwnd) : 0;
-    trace_program(trace::ProgramVerdict::kStageScaleDown, destination,
-                  governor_.config().stage_scale_factor, initcwnd, initrwnd);
-    program_route(destination, initcwnd, initrwnd);
+  for (const auto& [destination, initcwnd] : sweep_) {
+    program(destination, initcwnd,
+            Audit::program(trace::ProgramVerdict::kStageScaleDown, factor));
   }
   ++stats_.governor_stage_scaledowns;
-  stats_.governor_routes_stage_scaled += scaled.size();
+  stats_.governor_routes_stage_scaled += sweep_.size();
   trace_governor_state(from, governor_.state(),
                        trace::GovernorCause::kThreshold, retrans_fraction,
-                       static_cast<std::uint32_t>(scaled.size()));
+                       static_cast<std::uint32_t>(sweep_.size()));
 }
 
 void RiptideAgent::staged_selective_withdraw(GovernorState from,
@@ -885,8 +767,7 @@ void RiptideAgent::staged_selective_withdraw(GovernorState from,
   for (std::size_t i = 0; i < count; ++i) {
     const net::Prefix destination = candidates[i].destination;
     table_.erase(destination);
-    trace_route(trace::RouteCause::kStageWithdraw, destination, 0.0);
-    withdraw_route(destination);
+    withdraw(destination, Audit::route(trace::RouteCause::kStageWithdraw));
   }
   ++stats_.governor_stage_withdrawals;
   stats_.governor_routes_stage_withdrawn += count;
@@ -915,8 +796,7 @@ void RiptideAgent::emergency_rollback(sim::Time now, double retrans_fraction,
   std::sort(targets.begin(), targets.end(), net::PrefixOrder{});
   targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
   for (const auto& destination : targets) {
-    trace_route(trace::RouteCause::kRollback, destination, 0.0);
-    withdraw_route(destination);
+    withdraw(destination, Audit::route(trace::RouteCause::kRollback));
   }
 
   if (auto* sink = trace::active()) {
@@ -954,8 +834,8 @@ void RiptideAgent::reconcile_route_table() {
       // outlive their owner.
       if (table_.contains(entry.prefix)) continue;
       ++stats_.reconcile_orphaned;
-      trace_route(trace::RouteCause::kReconcileOrphan, entry.prefix, 0.0);
-      withdraw_route(entry.prefix);
+      withdraw(entry.prefix,
+               Audit::route(trace::RouteCause::kReconcileOrphan));
       continue;
     }
     if (entry.metrics != it->second) {
@@ -963,28 +843,27 @@ void RiptideAgent::reconcile_route_table() {
       // finger): reassert what we installed.
       ++stats_.reconcile_conflicting;
       ++stats_.reconcile_repaired;
-      trace_route(trace::RouteCause::kReconcileConflict, entry.prefix,
-                  static_cast<double>(it->second.initcwnd_segments));
-      program_route(entry.prefix, it->second.initcwnd_segments,
-                    it->second.initrwnd_segments);
+      const std::uint32_t initcwnd = it->second.initcwnd_segments;
+      program(entry.prefix, initcwnd,
+              Audit::route(trace::RouteCause::kReconcileConflict,
+                           static_cast<double>(initcwnd)));
     }
   }
 
   // Pass 2: routes we installed that vanished from the live table
-  // (externally deleted). Collect first: program_route mutates installed_.
-  std::vector<std::pair<net::Prefix, host::RouteMetrics>> missing;
+  // (externally deleted). Collect first: the writes mutate installed_.
+  sweep_.clear();
   for (const auto& [destination, metrics] : installed_) {
     if (pending_ops_.contains(destination)) continue;
     if (host_.routing_table().find_route(destination) == nullptr) {
-      missing.emplace_back(destination, metrics);
+      sweep_.emplace_back(destination, metrics.initcwnd_segments);
     }
   }
-  for (const auto& [destination, metrics] : missing) {
+  for (const auto& [destination, initcwnd] : sweep_) {
     ++stats_.reconcile_repaired;
-    trace_route(trace::RouteCause::kReconcileRepair, destination,
-                static_cast<double>(metrics.initcwnd_segments));
-    program_route(destination, metrics.initcwnd_segments,
-                  metrics.initrwnd_segments);
+    program(destination, initcwnd,
+            Audit::route(trace::RouteCause::kReconcileRepair,
+                         static_cast<double>(initcwnd)));
   }
 }
 

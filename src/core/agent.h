@@ -14,7 +14,6 @@
 #include "core/route_programmer.h"
 #include "core/socket_stats_source.h"
 #include "host/host.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
 #include "trace/event.h"
 
@@ -61,6 +60,9 @@ struct AgentStats {
   std::uint64_t governor_storm_escalations = 0;  // cooldowns grown by storms
 };
 
+// Field-by-field sum, for totals across a fleet of agents.
+AgentStats& operator+=(AgentStats& total, const AgentStats& add);
+
 // How one poll_once() iteration ended, handed to the post-poll hook so
 // invariant checkers (src/chaos) know which guarantees the poll actually
 // established. A poll that bailed early — cooldown, a staged governor
@@ -87,6 +89,10 @@ struct PollOutcome {
 //      (and initrwnd, §III-C),
 //   6. expires entries unseen for `ttl` and withdraws their routes,
 //      restoring the default initial window.
+// poll_once() runs these as named stages, with the safety governor's gate
+// and route reconciliation in front and the budget and staleness guard in
+// between (see poll_once_impl), and every route write goes through one
+// program()/withdraw() pair.
 //
 // No coordination with any other node, no kernel changes: the agent only
 // reads connection state and writes route metrics, matching the deployment
@@ -104,15 +110,14 @@ class RiptideAgent {
  public:
   // If `programmer` is null, a HostRouteProgrammer on `host` is used; if
   // `stats_source` is null, the host's in-memory `ss` surface is used.
-  // `rng` is only required when config.poll_jitter_fraction > 0.
+  // Throws std::invalid_argument when a config value is out of range.
   RiptideAgent(sim::Simulator& sim, host::Host& host, RiptideConfig config,
                std::unique_ptr<RouteProgrammer> programmer = nullptr,
-               std::unique_ptr<SocketStatsSource> stats_source = nullptr,
-               sim::Rng* rng = nullptr);
+               std::unique_ptr<SocketStatsSource> stats_source = nullptr);
 
-  // Begins periodic polling (first poll after one update_interval, plus
-  // the configured jitter phase). Adopts leftover Riptide routes from the
-  // host routing table when config.adopt_routes_on_start.
+  // Begins periodic polling, first poll after one update_interval. Adopts
+  // leftover Riptide routes from the host routing table (a crashed
+  // predecessor's), aged from now, so TTL expiry reclaims them.
   void start();
   void stop();
   bool running() const { return running_; }
@@ -218,18 +223,84 @@ class RiptideAgent {
   // A route program or clear that failed and is waiting to be retried.
   struct PendingOp {
     std::uint32_t initcwnd = 0;
-    std::uint32_t initrwnd = 0;
     bool clear = false;
     std::uint32_t attempts = 0;  // failed attempts so far
     sim::EventHandle timer;
   };
 
-  static GovernorConfig governor_config(const RiptideConfig& config);
+  // The trace record a route write leaves, emitted just before the
+  // actuator call: a program verdict, a route-lifecycle cause, or nothing
+  // (retries and warm-restore reinstalls replay decisions already made).
+  struct Audit {
+    enum class Kind : std::uint8_t { kNone, kProgram, kRoute };
+    Kind kind = Kind::kNone;
+    trace::ProgramVerdict verdict = trace::ProgramVerdict::kProgrammed;
+    trace::RouteCause cause = trace::RouteCause::kExpired;
+    double value = 0.0;  // kProgram: the scale; kRoute: the window
+
+    static Audit program(trace::ProgramVerdict verdict, double scale) {
+      return {Kind::kProgram, verdict, {}, scale};
+    }
+    static Audit route(trace::RouteCause cause, double window = 0.0) {
+      return {Kind::kRoute, {}, cause, window};
+    }
+  };
+
+  // -- poll_once stages, in order --
+  // Host-wide health: false when the poll ends here (cooling down, or a
+  // staged action or rollback fired).
+  bool governor_gate(sim::Time now);
+  void reconcile_route_table();
+  // The `ss` poll: false (and counted) when the snapshot failed.
+  bool take_snapshot(std::vector<host::SocketInfo>& snapshot);
+  // Groups established connections by destination into poll_scratch_.
+  void observe(const std::vector<host::SocketInfo>& snapshot);
+  // Combine, fold, guard and clamp each destination into decisions_.
+  void decide(sim::Time now);
+  // The budget's answer for this poll into budget_windows_.
+  void budget();
+  // Programs decisions_ under the budget, then applies the budget to the
+  // routes earlier polls installed.
+  void actuate();
+  void budget_sweep(std::uint64_t shed_before);
+  void staleness_guard(const std::vector<host::SocketInfo>& snapshot,
+                       sim::Time now);
+  void expire(sim::Time now);
+
+  // The one route-write path: every change to the host routing table goes
+  // through this pair. It records `audit`, applies the initrwnd rule,
+  // calls the actuator, hands a failure to the retry timer, and keeps
+  // installed_ and pending_ops_ in step with the table.
+  void program(const net::Prefix& dst, std::uint32_t initcwnd,
+               const Audit& audit);
+  void withdraw(const net::Prefix& dst, const Audit& audit);
+  // The metrics program() installs for `initcwnd`: initrwnd per §III-C
+  // (set_initrwnd) and the configured route cc.
+  host::RouteMetrics route_metrics(std::uint32_t initcwnd) const;
+  void retry_later(const net::Prefix& dst, std::uint32_t initcwnd,
+                   bool clear);
+  void retry_pending(const net::Prefix& dst);
+  void cancel_pending_ops();
+
   PollOutcome poll_once_impl();
   double clamp_window(double value) const;
+  // The budget's cap for `dst` this poll, or null when it does not bind.
+  const std::uint32_t* budget_window(const net::Prefix& dst) const;
+  void adopt_existing_routes();
+  // Governor actions.
+  void emergency_rollback(sim::Time now, double retrans_fraction,
+                          trace::GovernorCause cause);
+  void staged_scale_down(GovernorState from, double retrans_fraction);
+  void staged_selective_withdraw(GovernorState from, double retrans_fraction);
+  // Staleness guard: per-destination retransmit deltas since last poll.
+  std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>
+  retransmit_deltas(const std::vector<host::SocketInfo>& snapshot);
+
   // -- decision-audit tracing (src/trace) --
-  // Emit one route-lifecycle / program-outcome record; no-ops costing a
-  // thread-local load when no sink is installed on this thread.
+  // Emit one record; no-ops costing a thread-local load when no sink is
+  // installed on this thread.
+  void trace_audit(const Audit& audit, const net::Prefix& dst,
+                   const host::RouteMetrics& metrics);
   void trace_route(trace::RouteCause cause, const net::Prefix& dst,
                    double window);
   void trace_program(trace::ProgramVerdict verdict, const net::Prefix& dst,
@@ -238,32 +309,6 @@ class RiptideAgent {
   void trace_governor_state(GovernorState from, GovernorState to,
                             trace::GovernorCause cause,
                             double retrans_fraction, std::uint32_t routes);
-  void adopt_existing_routes();
-  // Governor actions and reconciliation (poll_once helpers).
-  void emergency_rollback(sim::Time now, double retrans_fraction,
-                          trace::GovernorCause cause);
-  void staged_scale_down(GovernorState from, double retrans_fraction);
-  void staged_selective_withdraw(GovernorState from, double retrans_fraction);
-  // Shed-newest budget enforcement: the per-destination windows admitted
-  // this poll (0 = shed entirely), or an empty map when the table fits.
-  std::map<net::Prefix, std::uint32_t, net::PrefixOrder>
-  budget_shed_admissions() const;
-  void reconcile_route_table();
-  // Actuator wrappers: perform the op now; on failure, enqueue a retry.
-  void program_route(const net::Prefix& dst, std::uint32_t initcwnd,
-                     std::uint32_t initrwnd);
-  void withdraw_route(const net::Prefix& dst);
-  void handle_actuator_failure(const net::Prefix& dst, std::uint32_t initcwnd,
-                               std::uint32_t initrwnd, bool clear);
-  void retry_pending(const net::Prefix& dst);
-  void cancel_pending_ops();
-  // Staleness guard: per-destination retransmit deltas since last poll.
-  std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>
-  retransmit_deltas(const std::vector<host::SocketInfo>& snapshot);
-  void apply_staleness_guard(
-      const std::map<net::Prefix, std::pair<std::uint64_t, std::uint64_t>>&
-          deltas,
-      sim::Time now);
 
   sim::Simulator& sim_;
   host::Host& host_;
@@ -271,7 +316,6 @@ class RiptideAgent {
   std::unique_ptr<RouteProgrammer> programmer_;
   std::unique_ptr<SocketStatsSource> stats_source_;
   std::unique_ptr<Combiner> combiner_;
-  sim::Rng* rng_ = nullptr;
   ObservedTable table_;
   sim::EventHandle poll_timer_;
   PostPollHook post_poll_hook_;
@@ -292,13 +336,19 @@ class RiptideAgent {
   // Poll-loop scratch, reused across polls so steady-state polling does
   // not allocate: observations tagged with their destination, stably
   // sorted so each destination is a contiguous run, plus the flat
-  // observation array the combiner spans point into.
+  // observation array the combiner spans point into; each destination's
+  // decided window; the budget's answer (and its proportional scale); and
+  // the routes a sweep collects before writing (writes mutate installed_).
   struct DestObservation {
     net::Prefix destination;
     Observation obs;
   };
   std::vector<DestObservation> poll_scratch_;
   std::vector<Observation> poll_observations_;
+  std::vector<std::pair<net::Prefix, double>> decisions_;
+  std::vector<BudgetWindow> budget_windows_;
+  double budget_scale_ = 1.0;
+  std::vector<std::pair<net::Prefix, std::uint32_t>> sweep_;
   AgentStats stats_;
 };
 

@@ -1,6 +1,8 @@
 #include "core/governor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace riptide::core {
 
@@ -16,6 +18,29 @@ const char* to_string(GovernorState state) {
       return "cooldown";
   }
   return "unknown";
+}
+
+SafetyGovernor::SafetyGovernor(GovernorConfig config) : config_(config) {
+  if (config_.rollback_retrans_fraction < 0.0 ||
+      config_.rollback_retrans_fraction > 1.0) {
+    throw std::invalid_argument(
+        "SafetyGovernor: rollback_retrans_fraction outside [0, 1]");
+  }
+  if (config_.stage_scale_factor <= 0.0 || config_.stage_scale_factor >= 1.0) {
+    throw std::invalid_argument(
+        "SafetyGovernor: stage_scale_factor outside (0, 1)");
+  }
+  if (config_.stage_withdraw_fraction <= 0.0 ||
+      config_.stage_withdraw_fraction > 1.0) {
+    throw std::invalid_argument(
+        "SafetyGovernor: stage_withdraw_fraction outside (0, 1]");
+  }
+  if (config_.storm_backoff_factor < 1.0) {
+    throw std::invalid_argument("SafetyGovernor: storm_backoff_factor below 1");
+  }
+  if (config_.max_cooldown < config_.cooldown) {
+    throw std::invalid_argument("SafetyGovernor: max_cooldown below cooldown");
+  }
 }
 
 bool SafetyGovernor::over_threshold(std::uint64_t retrans_delta,
@@ -117,6 +142,70 @@ double SafetyGovernor::budget_scale(double total_desired_segments) const {
   }
   return static_cast<double>(config_.budget_segments) /
          total_desired_segments;
+}
+
+double SafetyGovernor::budget_windows(const ObservedTable& table,
+                                      std::vector<BudgetWindow>& out) const {
+  out.clear();
+  if (config_.budget_segments == 0) return 1.0;
+  if (!shed_newest()) {
+    double total = 0.0;
+    for (const auto& [destination, state] : table.entries()) {
+      total += state.final_window_segments;
+    }
+    const double scale = budget_scale(total);
+    if (scale < 1.0) {
+      for (const auto& [destination, state] : table.entries()) {
+        out.push_back({destination,
+                       std::max<std::uint32_t>(
+                           1, static_cast<std::uint32_t>(std::lround(
+                                  state.final_window_segments * scale)))});
+      }
+    }
+    return scale;
+  }
+
+  // Shed-newest: a destination that has survived many poll rounds has
+  // earned its window; one first seen a poll or two ago has not. The
+  // table has no first-seen timestamp (the snapshot codec pins the record
+  // layout), so the update count is the seniority measure.
+  struct Candidate {
+    std::size_t index;  // into `out`, which is in prefix order
+    std::uint64_t updates;
+    sim::Time last_updated;
+  };
+  std::vector<Candidate> by_seniority;
+  by_seniority.reserve(table.size());
+  std::uint64_t total = 0;
+  for (const auto& [destination, state] : table.entries()) {
+    const auto window = std::max<std::uint32_t>(
+        1,
+        static_cast<std::uint32_t>(std::lround(state.final_window_segments)));
+    by_seniority.push_back({out.size(), state.updates, state.last_updated});
+    out.push_back({destination, window});
+    total += window;
+  }
+  if (total <= config_.budget_segments) {
+    out.clear();
+    return 1.0;
+  }
+  std::sort(by_seniority.begin(), by_seniority.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.updates != b.updates) return a.updates > b.updates;
+              if (a.last_updated != b.last_updated) {
+                return a.last_updated < b.last_updated;
+              }
+              return a.index < b.index;
+            });
+  // Greedy whole-window admission, oldest first: a partial boost for the
+  // first window that no longer fits still beats the default.
+  std::uint32_t remaining = config_.budget_segments;
+  for (const Candidate& candidate : by_seniority) {
+    std::uint32_t& window = out[candidate.index].window;
+    window = std::min(window, remaining);
+    remaining -= window;
+  }
+  return 1.0;
 }
 
 bool SafetyGovernor::within_hysteresis(std::uint32_t installed_segments,

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "core/observed_table.h"
+#include "net/ipv4.h"
 #include "sim/time.h"
 
 namespace riptide::core {
@@ -87,6 +90,12 @@ struct GovernorConfig {
   sim::Time storm_memory = sim::Time::seconds(120);
 };
 
+// One destination's share of the host-wide initcwnd budget for one poll.
+struct BudgetWindow {
+  net::Prefix destination;
+  std::uint32_t window = 0;  // the largest initcwnd it may install; 0 = shed
+};
+
 // Host-wide safety valve over the agent's aggressiveness, pure decision
 // logic with no side effects: the agent asks it each poll what to do
 // (scale? skip? stage? roll back?) and performs the actions itself.
@@ -113,13 +122,17 @@ struct GovernorConfig {
 class SafetyGovernor {
  public:
   SafetyGovernor() = default;
-  explicit SafetyGovernor(GovernorConfig config) : config_(config) {}
+  // Throws std::invalid_argument when a knob is out of range.
+  explicit SafetyGovernor(GovernorConfig config);
 
   bool rollback_enabled() const {
     return config_.rollback_retrans_fraction > 0.0;
   }
   bool staged() const {
     return rollback_enabled() && config_.staged_response;
+  }
+  bool shed_newest() const {
+    return config_.budget_fairness == BudgetFairness::kShedNewest;
   }
 
   // Should the agent withdraw everything right now? True when rollback is
@@ -151,6 +164,17 @@ class SafetyGovernor {
   // fits the budget: min(1, budget / total_desired). Exactly 1.0 when no
   // budget is set or the total fits.
   double budget_scale(double total_desired_segments) const;
+
+  // The budget's answer for one poll: for every destination of `table`,
+  // in table order, the largest initcwnd it may install (0 = shed). `out`
+  // is left empty when no budget is set or the table fits. Proportional
+  // fairness scales every learned window by budget_scale(total) and
+  // returns that factor (1.0 otherwise). Shed-newest admits whole windows
+  // by seniority — most updates first, then the least recently refreshed,
+  // then prefix order — gives the first window that no longer fits
+  // whatever is left, and sheds everything junior to it.
+  double budget_windows(const ObservedTable& table,
+                        std::vector<BudgetWindow>& out) const;
 
   // True when reprogramming `desired` over `installed` is churn the
   // hysteresis band says to skip. Always false with the knob at 0 — an

@@ -76,8 +76,9 @@ FaultHarness::FaultHarness(cdn::Experiment& experiment, FaultPlan plan) {
       // The harness plays the role of durable storage: stores live here,
       // outside the agent, so they survive agent crash()/start() cycles
       // exactly as files on disk survive a process.
-      stores_.push_back(std::make_unique<persist::MemorySnapshotStore>(
-          riptide.checkpoint_keep));
+      // Two generations, so a corrupted newest snapshot still leaves a
+      // fallback.
+      stores_.push_back(std::make_unique<persist::MemorySnapshotStore>(2));
       checkpointers_.push_back(std::make_unique<persist::AgentCheckpointer>(
           experiment.simulator(), *agent, *stores_.back(),
           persist::CheckpointerConfig{riptide.checkpoint_interval}));

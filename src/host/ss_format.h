@@ -9,9 +9,9 @@ namespace riptide::host {
 
 // Textual `ss -ti`-style rendering of a host's connection table, and the
 // parser that recovers the fields Riptide needs. The paper's tool is a
-// user-space script that shells out to `ss` and parses its output; running
-// the agent through this text round-trip (RiptideConfig::via_text_interface)
-// demonstrates that the textual surface carries all required information.
+// user-space script that shells out to `ss` and parses its output; the
+// round-trip tests (SsFormatTest.LiveHostRoundTrip, fuzz_ss_format) show
+// that the textual surface carries every field the agent reads.
 //
 // Format, one connection per line (wrapped here for width):
 //   ESTAB 10.0.0.1:42000 10.1.0.1:9000 cwnd:34 bytes_acked:100000

@@ -125,18 +125,18 @@ PolicySpec parse_policy(const std::string& full_text) {
 }
 
 void arm_recommended_governor(core::RiptideConfig& riptide) {
-  riptide.governor_budget_segments = 300;
-  riptide.governor_budget_fairness = core::BudgetFairness::kShedNewest;
-  riptide.governor_hysteresis_segments = 2;
-  riptide.governor_rollback_retrans_fraction = 0.05;
-  riptide.governor_min_packets = 200;
-  riptide.governor_cooldown = sim::Time::seconds(20);
-  riptide.governor_staged_response = true;
-  riptide.governor_stage_scale_factor = 0.5;
-  riptide.governor_stage_withdraw_fraction = 0.5;
-  riptide.governor_storm_backoff_factor = 2.0;
-  riptide.governor_max_cooldown = sim::Time::seconds(160);
-  riptide.governor_storm_memory = sim::Time::seconds(60);
+  riptide.governor.budget_segments = 300;
+  riptide.governor.budget_fairness = core::BudgetFairness::kShedNewest;
+  riptide.governor.hysteresis_segments = 2;
+  riptide.governor.rollback_retrans_fraction = 0.05;
+  riptide.governor.min_packets = 200;
+  riptide.governor.cooldown = sim::Time::seconds(20);
+  riptide.governor.staged_response = true;
+  riptide.governor.stage_scale_factor = 0.5;
+  riptide.governor.stage_withdraw_fraction = 0.5;
+  riptide.governor.storm_backoff_factor = 2.0;
+  riptide.governor.max_cooldown = sim::Time::seconds(160);
+  riptide.governor.storm_memory = sim::Time::seconds(60);
 }
 
 namespace {

@@ -405,18 +405,6 @@ TEST(RiptideAgentTest, DestinationKeyRespectsGranularity) {
             net::Prefix::parse("10.3.0.0/16"));
 }
 
-TEST(RiptideAgentTest, MinSamplesGate) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = test_config();
-  config.min_samples = 2;  // one connection is not enough
-  RiptideAgent agent(net.sim, net.a, config);
-  push_data(net, 200'000);
-  agent.poll_once();
-  EXPECT_EQ(agent.table().size(), 0u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);
-}
-
 TEST(RiptideAgentTest, IgnoresNonEstablishedConnections) {
   TwoHostNet net(Time::milliseconds(20));
   // SYN to a filtered path: connection stays in SYN-SENT.

@@ -21,7 +21,7 @@
 #include <string>
 
 #include "cdn/experiment.h"
-#include "cdn/pops.h"
+#include "cdn/golden.h"
 #include "chaos/spec.h"
 #include "persist/crc32.h"
 #include "runner/parallel_runner.h"
@@ -34,65 +34,6 @@ using sim::Time;
 // CRC-32 of serialize_metrics() for golden_config() on the pre-refactor
 // (shared_ptr segment) build. The pooled build must reproduce it exactly.
 constexpr std::uint32_t kGoldenCrc = 0x1B61F592;
-
-// Compact 4-PoP closed-loop world, WAN loss *on* so the RNG-coupled paths
-// (random loss -> SACK -> retransmission) are part of the fingerprint.
-ExperimentConfig golden_config(std::uint64_t seed = 42) {
-  ExperimentConfig config;
-  config.pop_specs = {{"lon", Continent::kEurope, {51.51, -0.13}},
-                      {"fra", Continent::kEurope, {50.11, 8.68}},
-                      {"nyc", Continent::kNorthAmerica, {40.71, -74.01}},
-                      {"tyo", Continent::kAsia, {35.68, 139.69}}};
-  config.topology.hosts_per_pop = 1;
-  config.topology.wan_loss_probability = 2e-4;
-  config.topology.seed = seed;
-  config.riptide_enabled = true;
-  config.riptide.update_interval = Time::seconds(1);
-  config.riptide.c_max = 100;
-  config.probe.interval = Time::seconds(5);
-  config.probe.idle_close = Time::seconds(10);
-  config.duration = Time::seconds(60);
-  config.cwnd_sample_interval = Time::seconds(10);
-  config.seed = seed;
-  return config;
-}
-
-// Every observable output of a run, bit-exactly. Field order is part of
-// the format; extend only by appending (and recapturing the golden).
-std::string serialize_metrics(const Experiment& exp) {
-  std::string out;
-  out.reserve(1 << 16);
-  char line[256];
-  for (const auto& f : exp.metrics().flows()) {
-    std::snprintf(line, sizeof line,
-                  "F,%d,%d,%" PRIu64 ",%" PRId64 ",%" PRId64 ",%d,%.17g\n",
-                  f.src_pop, f.dst_pop, f.object_bytes, f.started.ns(),
-                  f.duration.ns(), f.fresh ? 1 : 0, f.base_rtt_ms);
-    out += line;
-  }
-  for (const auto& s : exp.metrics().cwnd_samples()) {
-    std::snprintf(line, sizeof line, "W,%d,%u,%" PRId64 "\n", s.pop,
-                  s.cwnd_segments, s.at.ns());
-    out += line;
-  }
-  for (const auto& agent : exp.agents()) {
-    const auto& st = agent->stats();
-    std::snprintf(line, sizeof line,
-                  "A,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-                  st.polls, st.connections_observed, st.routes_set,
-                  st.routes_expired);
-    out += line;
-  }
-  // Deliberately NOT fingerprinted: simulator().events_executed(). The
-  // event count is harness bookkeeping, not simulation output — lazy
-  // timers and the link completion ring change how many events run while
-  // producing the same simulated behavior, and pinning it would veto
-  // exactly the optimizations this suite exists to keep honest.
-  std::snprintf(line, sizeof line, "S,%" PRId64 "\n",
-                exp.simulator().now().ns());
-  out += line;
-  return out;
-}
 
 std::uint32_t run_fingerprint(const ExperimentConfig& config) {
   Experiment exp(config);
@@ -256,8 +197,8 @@ TEST(AgentPinTest, GovernorLadderReconcileAndHysteresis) {
       "faults=@8 down 0-1; @13 up 0-1; @15 route-drift -1 0.5 0.5; "
       "@20 loss 0-1 0.2 10; @40 loss 0-2 0.2 10\n",
       [](ExperimentConfig& c) {
-        c.riptide.governor_rollback_retrans_fraction = 0.02;
-        c.riptide.governor_min_packets = 50;
+        c.riptide.governor.rollback_retrans_fraction = 0.02;
+        c.riptide.governor.min_packets = 50;
       });
   EXPECT_EQ(crc, 0xF1E02461u) << std::hex << "0x" << crc;
 }
@@ -282,10 +223,10 @@ TEST(AgentPinTest, ProportionalBudgetAndLegacyRollbackStorm) {
       "policy=adaptive\nhostile=none\n"
       "faults=@10 loss 0-1 0.2 10; @35 loss 0-1 0.2 10\nbudget=20\n",
       [](ExperimentConfig& c) {
-        c.riptide.governor_rollback_retrans_fraction = 0.02;
-        c.riptide.governor_min_packets = 50;
-        c.riptide.governor_cooldown = Time::seconds(5);
-        c.riptide.governor_storm_backoff_factor = 2.0;
+        c.riptide.governor.rollback_retrans_fraction = 0.02;
+        c.riptide.governor.min_packets = 50;
+        c.riptide.governor.cooldown = Time::seconds(5);
+        c.riptide.governor.storm_backoff_factor = 2.0;
       });
   EXPECT_EQ(crc, 0x3F042BFFu) << std::hex << "0x" << crc;
 }

@@ -82,21 +82,21 @@ TEST(PolicyApplyTest, AdaptiveSetsGranularityAndOptionallyTheGovernor) {
   EXPECT_TRUE(config.riptide_enabled);
   EXPECT_EQ(config.riptide.granularity, core::Granularity::kPrefix);
   EXPECT_EQ(config.riptide.prefix_length, 20);
-  EXPECT_EQ(config.riptide.governor_rollback_retrans_fraction, 0.0);
+  EXPECT_EQ(config.riptide.governor.rollback_retrans_fraction, 0.0);
 
   auto governed = small_world();
   policy::apply_policy(governed, parse_policy("adaptive-governed"));
   EXPECT_EQ(governed.riptide.granularity, core::Granularity::kHost);
   // The recommended pack: staged ladder, shed-newest budget, storm
   // backoff. Pinned so docs and BENCH_policy.json stay honest.
-  EXPECT_DOUBLE_EQ(governed.riptide.governor_rollback_retrans_fraction,
+  EXPECT_DOUBLE_EQ(governed.riptide.governor.rollback_retrans_fraction,
                    0.05);
-  EXPECT_TRUE(governed.riptide.governor_staged_response);
-  EXPECT_EQ(governed.riptide.governor_budget_fairness,
+  EXPECT_TRUE(governed.riptide.governor.staged_response);
+  EXPECT_EQ(governed.riptide.governor.budget_fairness,
             core::BudgetFairness::kShedNewest);
-  EXPECT_EQ(governed.riptide.governor_budget_segments, 300u);
-  EXPECT_DOUBLE_EQ(governed.riptide.governor_storm_backoff_factor, 2.0);
-  EXPECT_EQ(governed.riptide.governor_max_cooldown, Time::seconds(160));
+  EXPECT_EQ(governed.riptide.governor.budget_segments, 300u);
+  EXPECT_DOUBLE_EQ(governed.riptide.governor.storm_backoff_factor, 2.0);
+  EXPECT_EQ(governed.riptide.governor.max_cooldown, Time::seconds(160));
 }
 
 TEST(PolicyInstallTest, StaticInstallerProgramsEveryRemoteGroup) {

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "cdn/metrics.h"
-#include "core/agent.h"
 #include "host/ss_format.h"
 #include "test_util.h"
 
@@ -117,34 +116,6 @@ TEST(SsFormatTest, LiveHostRoundTrip) {
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].remote_addr, net.b.address());
   EXPECT_EQ(parsed[0].cwnd_segments, 10u);
-}
-
-// The agent learns identical windows whether it reads memory or text.
-TEST(SsFormatTest, AgentViaTextInterfaceMatchesDirect) {
-  auto run = [](bool via_text) {
-    TwoHostNet net(Time::milliseconds(20));
-    net.b.listen(9900, [](tcp::TcpConnection& conn) {
-      tcp::TcpConnection::Callbacks cbs;
-      conn.set_callbacks(std::move(cbs));
-    });
-    core::RiptideConfig config;
-    config.alpha = 0.0;
-    config.via_text_interface = via_text;
-    core::RiptideAgent agent(net.sim, net.a, config);
-    tcp::TcpConnection::Callbacks cbs;
-    auto& conn = net.a.connect(net.b.address(), 9900, std::move(cbs));
-    net.sim.run_until(Time::milliseconds(100));
-    conn.send(400'000);
-    net.sim.run_until(Time::seconds(5));
-    agent.poll_once();
-    const auto* learned =
-        agent.learned(net::Prefix::host(net.b.address()));
-    return learned == nullptr ? -1.0 : learned->final_window_segments;
-  };
-  const double direct = run(false);
-  const double text = run(true);
-  ASSERT_GT(direct, 0.0);
-  EXPECT_DOUBLE_EQ(direct, text);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "cdn/experiment.h"
-#include "cdn/pops.h"
+#include "cdn/golden.h"
 #include "persist/crc32.h"
 #include "runner/parallel_runner.h"
 #include "trace/sink.h"
@@ -31,60 +31,10 @@ namespace {
 
 using sim::Time;
 
-// Golden capture shared with determinism_test.cc (same config, same
-// serialization, same CRC). Duplicated deliberately: each suite must fail
-// on its own if the contract breaks.
+// The golden CRC of determinism_test.cc (golden_config() and
+// serialize_metrics() live in cdn/golden.h). Duplicated deliberately: each
+// suite must fail on its own if the contract breaks.
 constexpr std::uint32_t kGoldenCrc = 0x1B61F592;
-
-ExperimentConfig golden_config(std::uint64_t seed = 42) {
-  ExperimentConfig config;
-  config.pop_specs = {{"lon", Continent::kEurope, {51.51, -0.13}},
-                      {"fra", Continent::kEurope, {50.11, 8.68}},
-                      {"nyc", Continent::kNorthAmerica, {40.71, -74.01}},
-                      {"tyo", Continent::kAsia, {35.68, 139.69}}};
-  config.topology.hosts_per_pop = 1;
-  config.topology.wan_loss_probability = 2e-4;
-  config.topology.seed = seed;
-  config.riptide_enabled = true;
-  config.riptide.update_interval = Time::seconds(1);
-  config.riptide.c_max = 100;
-  config.probe.interval = Time::seconds(5);
-  config.probe.idle_close = Time::seconds(10);
-  config.duration = Time::seconds(60);
-  config.cwnd_sample_interval = Time::seconds(10);
-  config.seed = seed;
-  return config;
-}
-
-std::string serialize_metrics(const Experiment& exp) {
-  std::string out;
-  out.reserve(1 << 16);
-  char line[256];
-  for (const auto& f : exp.metrics().flows()) {
-    std::snprintf(line, sizeof line,
-                  "F,%d,%d,%" PRIu64 ",%" PRId64 ",%" PRId64 ",%d,%.17g\n",
-                  f.src_pop, f.dst_pop, f.object_bytes, f.started.ns(),
-                  f.duration.ns(), f.fresh ? 1 : 0, f.base_rtt_ms);
-    out += line;
-  }
-  for (const auto& s : exp.metrics().cwnd_samples()) {
-    std::snprintf(line, sizeof line, "W,%d,%u,%" PRId64 "\n", s.pop,
-                  s.cwnd_segments, s.at.ns());
-    out += line;
-  }
-  for (const auto& agent : exp.agents()) {
-    const auto& st = agent->stats();
-    std::snprintf(line, sizeof line,
-                  "A,%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 "\n",
-                  st.polls, st.connections_observed, st.routes_set,
-                  st.routes_expired);
-    out += line;
-  }
-  std::snprintf(line, sizeof line, "S,%" PRId64 "\n",
-                exp.simulator().now().ns());
-  out += line;
-  return out;
-}
 
 ExperimentConfig traced_config(std::uint64_t seed = 42) {
   ExperimentConfig config = golden_config(seed);
