@@ -355,9 +355,9 @@ PollOutcome RiptideAgent::poll_once_impl() {
   if (!take_snapshot(snapshot)) return outcome;
   outcome.snapshot_ok = true;
   observe(snapshot);
-  decide(now);
+  const auto decisions = decide(now);
   budget();
-  actuate();
+  actuate(decisions);
   staleness_guard(snapshot, now);
   expire(now);
   outcome.completed = true;
@@ -451,10 +451,12 @@ void RiptideAgent::observe(const std::vector<host::SocketInfo>& snapshot) {
   for (const auto& d : poll_scratch_) poll_observations_.push_back(d.obs);
 }
 
-void RiptideAgent::decide(sim::Time now) {
+std::vector<std::pair<net::Prefix, double>> RiptideAgent::decide(
+    sim::Time now) {
   // Every destination folds before anything is programmed, so the budget
   // can be judged over the whole table.
-  decisions_.clear();
+  std::vector<std::pair<net::Prefix, double>> decisions;
+  decisions.reserve(poll_scratch_.size());
   for (std::size_t i = 0; i < poll_scratch_.size();) {
     const net::Prefix destination = poll_scratch_[i].destination;
     std::size_t j = i + 1;
@@ -493,7 +495,7 @@ void RiptideAgent::decide(sim::Time now) {
       capped = true;
     }
     table_.store_final(destination, final_window, now);
-    decisions_.emplace_back(destination, final_window);
+    decisions.emplace_back(destination, final_window);
     ++stats_.destinations_updated;
     if (auto* sink = trace::active()) {
       trace::TraceEvent ev;
@@ -511,6 +513,7 @@ void RiptideAgent::decide(sim::Time now) {
       sink->emit(ev);
     }
   }
+  return decisions;
 }
 
 void RiptideAgent::budget() {
@@ -542,9 +545,10 @@ const std::uint32_t* RiptideAgent::budget_window(
   return &it->window;
 }
 
-void RiptideAgent::actuate() {
+void RiptideAgent::actuate(
+    const std::vector<std::pair<net::Prefix, double>>& decisions) {
   const std::uint64_t shed_before = stats_.governor_routes_budget_shed;
-  for (const auto& [destination, final_window] : decisions_) {
+  for (const auto& [destination, final_window] : decisions) {
     auto initcwnd = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(std::lround(final_window)));
     bool budget_bound = false;

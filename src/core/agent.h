@@ -255,13 +255,14 @@ class RiptideAgent {
   bool take_snapshot(std::vector<host::SocketInfo>& snapshot);
   // Groups established connections by destination into poll_scratch_.
   void observe(const std::vector<host::SocketInfo>& snapshot);
-  // Combine, fold, guard and clamp each destination into decisions_.
-  void decide(sim::Time now);
+  // Combine, fold, guard and clamp each destination: its final window,
+  // in ascending destination order.
+  std::vector<std::pair<net::Prefix, double>> decide(sim::Time now);
   // The budget's answer for this poll into budget_windows_.
   void budget();
-  // Programs decisions_ under the budget, then applies the budget to the
-  // routes earlier polls installed.
-  void actuate();
+  // Programs the decisions under the budget, then applies the budget to
+  // the routes earlier polls installed.
+  void actuate(const std::vector<std::pair<net::Prefix, double>>& decisions);
   void budget_sweep(std::uint64_t shed_before);
   void staleness_guard(const std::vector<host::SocketInfo>& snapshot,
                        sim::Time now);
@@ -336,16 +337,15 @@ class RiptideAgent {
   // Poll-loop scratch, reused across polls so steady-state polling does
   // not allocate: observations tagged with their destination, stably
   // sorted so each destination is a contiguous run, plus the flat
-  // observation array the combiner spans point into; each destination's
-  // decided window; the budget's answer (and its proportional scale); and
-  // the routes a sweep collects before writing (writes mutate installed_).
+  // observation array the combiner spans point into; the budget's answer
+  // (and its proportional scale); and the routes a sweep collects before
+  // writing (writes mutate installed_).
   struct DestObservation {
     net::Prefix destination;
     Observation obs;
   };
   std::vector<DestObservation> poll_scratch_;
   std::vector<Observation> poll_observations_;
-  std::vector<std::pair<net::Prefix, double>> decisions_;
   std::vector<BudgetWindow> budget_windows_;
   double budget_scale_ = 1.0;
   std::vector<std::pair<net::Prefix, std::uint32_t>> sweep_;
