@@ -17,7 +17,6 @@
 #include "host/routing_table.h"
 #include "model/transfer_model.h"
 #include "net/link.h"
-#include "net/router.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/cdf.h"
@@ -111,15 +110,13 @@ BENCHMARK(BM_SimulatorPeriodic)->Arg(100);
 void BM_RoutingTableLookup(benchmark::State& state) {
   const int routes = static_cast<int>(state.range(0));
   host::RoutingTable table;
-  net::Router sink("sink");
   for (int i = 0; i < routes; ++i) {
     table.add_or_replace(
         net::Prefix(net::Ipv4Address(10, static_cast<std::uint8_t>(i % 200),
                                      static_cast<std::uint8_t>(i / 200), 0),
                     24),
-        sink, host::RouteMetrics{50, 100});
+        host::RouteMetrics{50, 100});
   }
-  table.add_or_replace(net::Prefix(net::Ipv4Address(0), 0), sink);
   std::uint32_t x = 1;
   for (auto _ : state) {
     x = x * 1664525u + 1013904223u;

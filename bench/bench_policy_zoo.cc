@@ -270,10 +270,6 @@ int main(int argc, char** argv) {
         cdn::ExperimentConfig config = base_config(quick);
         if (scenario.spec != nullptr) {
           config.hostile = cdn::parse_hostile_spec(scenario.spec);
-          if (config.hostile.kind == cdn::HostileKind::kShallowBuffer ||
-              config.hostile.kind == cdn::HostileKind::kCombined) {
-            config.topology.wan_queue_packets = config.hostile.queue_packets;
-          }
         }
         policy::apply_policy(config, policy::parse_policy(name));
         runner::RunSpec spec;

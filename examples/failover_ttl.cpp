@@ -9,7 +9,6 @@
 // Build & run:  ./build/examples/failover_ttl
 
 #include <cstdio>
-#include <memory>
 
 #include "core/agent.h"
 #include "host/host.h"
@@ -36,11 +35,10 @@ int main() {
 
   host::Host a(sim, "a", net::Ipv4Address(10, 0, 0, 1));
   host::Host b(sim, "b", net::Ipv4Address(10, 1, 0, 1));
-  // Mutable loss knob: we will degrade the b-ward path mid-run.
-  net::Link::Config ab_cfg{1e9, Time::milliseconds(40), 64, 0.0, "a->b"};
-  auto ab = std::make_unique<net::Link>(sim, ab_cfg, b, &rng);
+  // The b-ward link gets an Rng so its loss can be raised mid-run.
+  net::Link ab(sim, {1e9, Time::milliseconds(40), 64, 0.0, "a->b"}, b, &rng);
   net::Link ba(sim, {1e9, Time::milliseconds(40), 1024, 0.0, "b->a"}, a, &rng);
-  a.attach_uplink(*ab);
+  a.attach_uplink(ab);
   b.attach_uplink(ba);
 
   b.listen(kSinkPort, [](tcp::TcpConnection& conn) {
@@ -67,17 +65,12 @@ int main() {
               "segments (cwnd on live conn: %u)\n",
               learned_initcwnd(a, b.address()), conn->cwnd_segments());
 
-  // Phase 2: the path degrades — 3% loss. Cubic backs off; Riptide's
+  // Phase 2: the path degrades — 8% loss. Cubic backs off; Riptide's
   // average follows the shrinking windows within a few poll intervals.
   // (This is the "if connections demonstrate smaller windows, Riptide will
-  // respond accordingly" property of §III-B.)
-  // Point the default route at a lossy replacement link. The old link must
-  // stay alive until its in-flight packets drain (see net/link.h), so we
-  // keep both.
-  ab_cfg.loss_probability = 0.08;
-  auto lossy = std::make_unique<net::Link>(sim, ab_cfg, b, &rng);
-  a.routing_table().add_or_replace(net::Prefix(net::Ipv4Address(0), 0),
-                                   *lossy);
+  // respond accordingly" property of §III-B.) The link degrades in place,
+  // as the fault injector's loss faults do.
+  ab.set_loss_probability(0.08);
   for (int i = 0; i < 8; ++i) {
     conn->send(50'000);
     sim.run_until(sim.now() + Time::seconds(4));

@@ -10,6 +10,12 @@ Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
 }
 
 void Experiment::build() {
+  // The shallow bottleneck is a topology property, not a traffic source:
+  // shrink the WAN queues before the world is built.
+  if (config_.hostile.kind == HostileKind::kShallowBuffer ||
+      config_.hostile.kind == HostileKind::kCombined) {
+    config_.topology.wan_queue_packets = config_.hostile.queue_packets;
+  }
   rng_ = std::make_unique<sim::Rng>(config_.seed);
   topology_ = std::make_unique<Topology>(sim_, config_.topology,
                                          config_.pop_specs);
@@ -136,9 +142,8 @@ void Experiment::build() {
 }
 
 // Hostile traffic shapes (src/cdn/hostile.h). The shallow-buffer half of
-// kShallowBuffer/kCombined lives in the topology config (apply at
-// config-construction time by shrinking wan_queue_packets); this builds
-// the traffic half.
+// kShallowBuffer/kCombined is the queue shrink at the top of build(); this
+// builds the traffic half.
 void Experiment::build_hostile() {
   Topology& topo = *topology_;
   const std::size_t n = topo.pop_count();
@@ -160,18 +165,27 @@ void Experiment::build_hostile() {
           topo.host(hostile.victim_pop, static_cast<std::size_t>(h))
               .address());
     }
+    // Waves never stop: the fan-in repeats for the whole run.
+    const BurstWaveSource::Schedule schedule{
+        hostile.incast_start, hostile.incast_interval, 0,
+        hostile.fanin_connections, hostile.burst_bytes};
     for (std::size_t pop = 0; pop < n; ++pop) {
       if (pop == hostile.victim_pop) continue;
       for (int h = 0; h < hosts_per_pop; ++h) {
-        incast_sources_.push_back(std::make_unique<IncastSource>(
+        incast_sources_.push_back(std::make_unique<BurstWaveSource>(
             sim_, topo.host(pop, static_cast<std::size_t>(h)), victims,
-            config_.organic.sink_port, hostile));
+            config_.organic.sink_port, schedule));
         incast_sources_.back()->start();
       }
     }
   }
 
   if (crowd) {
+    // A crowd always fires at least its first wave.
+    const BurstWaveSource::Schedule schedule{
+        hostile.crowd_at, hostile.crowd_period,
+        static_cast<std::uint64_t>(std::max(hostile.crowd_repeats, 1)),
+        hostile.crowd_connections, hostile.crowd_bytes};
     for (std::size_t pop = 0; pop < n; ++pop) {
       for (int h = 0; h < hosts_per_pop; ++h) {
         std::vector<net::Ipv4Address> targets;
@@ -181,9 +195,9 @@ void Experiment::build_hostile() {
               topo.host(dst, static_cast<std::size_t>(h % hosts_per_pop))
                   .address());
         }
-        flash_crowd_sources_.push_back(std::make_unique<FlashCrowdSource>(
+        flash_crowd_sources_.push_back(std::make_unique<BurstWaveSource>(
             sim_, topo.host(pop, static_cast<std::size_t>(h)),
-            std::move(targets), config_.organic.sink_port, hostile));
+            std::move(targets), config_.organic.sink_port, schedule));
         flash_crowd_sources_.back()->start();
       }
     }

@@ -59,9 +59,9 @@ struct ExperimentConfig {
 
   // Adversarial scenario (src/cdn/hostile.h). kNone (the default) adds
   // nothing and is bit-identical to previous releases; the shallow-buffer
-  // variants also shrink topology.wan_queue_packets (see apply_hostile in
-  // riptide_sim / bench_policy_zoo, which mutate the topology before
-  // construction).
+  // variants also set topology.wan_queue_packets to hostile.queue_packets,
+  // which build() does before the topology is built (so config() reads
+  // the shrunk value).
   HostileConfig hostile{};
 
   // §IV-B1: windows of established connections sampled periodically (the
@@ -113,10 +113,11 @@ class Experiment {
   const std::vector<std::unique_ptr<OrganicSource>>& organic_sources() const {
     return organic_sources_;
   }
-  const std::vector<std::unique_ptr<IncastSource>>& incast_sources() const {
+  const std::vector<std::unique_ptr<BurstWaveSource>>& incast_sources()
+      const {
     return incast_sources_;
   }
-  const std::vector<std::unique_ptr<FlashCrowdSource>>& flash_crowd_sources()
+  const std::vector<std::unique_ptr<BurstWaveSource>>& flash_crowd_sources()
       const {
     return flash_crowd_sources_;
   }
@@ -166,8 +167,8 @@ class Experiment {
   std::vector<std::unique_ptr<SinkServer>> sink_servers_;
   std::vector<std::unique_ptr<ProbeClient>> probe_clients_;
   std::vector<std::unique_ptr<OrganicSource>> organic_sources_;
-  std::vector<std::unique_ptr<IncastSource>> incast_sources_;
-  std::vector<std::unique_ptr<FlashCrowdSource>> flash_crowd_sources_;
+  std::vector<std::unique_ptr<BurstWaveSource>> incast_sources_;
+  std::vector<std::unique_ptr<BurstWaveSource>> flash_crowd_sources_;
   std::vector<std::unique_ptr<flow::FlowLevelLoad>> flow_loads_;
   std::vector<std::unique_ptr<core::RiptideAgent>> agents_;
   std::vector<std::shared_ptr<void>> extensions_;

@@ -212,16 +212,6 @@ std::string to_spec_string(const HostileConfig& config) {
   return out;
 }
 
-bool apply_shallow_buffer(const HostileConfig& config,
-                          std::size_t& wan_queue_packets) {
-  if (config.kind != HostileKind::kShallowBuffer &&
-      config.kind != HostileKind::kCombined) {
-    return false;
-  }
-  wan_queue_packets = config.queue_packets;
-  return true;
-}
-
 namespace {
 
 // Open one fresh connection, push `bytes` once established, then close.
@@ -244,76 +234,37 @@ void launch_burst(host::Host& host, net::Ipv4Address target,
 
 }  // namespace
 
-IncastSource::IncastSource(sim::Simulator& sim, host::Host& host,
-                           std::vector<net::Ipv4Address> victims,
-                           std::uint16_t sink_port,
-                           const HostileConfig& config)
-    : sim_(sim),
-      host_(host),
-      victims_(std::move(victims)),
-      sink_port_(sink_port),
-      config_(config) {}
-
-void IncastSource::start() {
-  if (started_ || victims_.empty()) return;
-  started_ = true;
-  // Absolute phase: every IncastSource computes the same schedule, so the
-  // waves from every source host land at the victim in the same instant.
-  const sim::Time delay = config_.incast_start > sim_.now()
-                              ? config_.incast_start - sim_.now()
-                              : sim::Time::zero();
-  sim_.schedule(delay, [this] { fire_wave(); });
-}
-
-void IncastSource::fire_wave() {
-  ++waves_;
-  for (int i = 0; i < config_.fanin_connections; ++i) {
-    launch(victims_[next_victim_], config_.burst_bytes);
-    next_victim_ = (next_victim_ + 1) % victims_.size();
-  }
-  sim_.schedule(config_.incast_interval, [this] { fire_wave(); });
-}
-
-void IncastSource::launch(net::Ipv4Address target, std::uint64_t bytes) {
-  ++connections_;
-  bytes_queued_ += bytes;
-  launch_burst(host_, target, sink_port_, bytes);
-}
-
-FlashCrowdSource::FlashCrowdSource(sim::Simulator& sim, host::Host& host,
-                                   std::vector<net::Ipv4Address> targets,
-                                   std::uint16_t sink_port,
-                                   const HostileConfig& config)
+BurstWaveSource::BurstWaveSource(sim::Simulator& sim, host::Host& host,
+                                 std::vector<net::Ipv4Address> targets,
+                                 std::uint16_t sink_port, Schedule schedule)
     : sim_(sim),
       host_(host),
       targets_(std::move(targets)),
       sink_port_(sink_port),
-      config_(config) {}
+      schedule_(schedule) {}
 
-void FlashCrowdSource::start() {
+void BurstWaveSource::start() {
   if (started_ || targets_.empty()) return;
   started_ = true;
-  const sim::Time delay = config_.crowd_at > sim_.now()
-                              ? config_.crowd_at - sim_.now()
+  // Absolute phase: every source computes the same schedule, so the waves
+  // from every source host land in the same instant.
+  const sim::Time delay = schedule_.first_wave > sim_.now()
+                              ? schedule_.first_wave - sim_.now()
                               : sim::Time::zero();
   sim_.schedule(delay, [this] { fire_wave(); });
 }
 
-void FlashCrowdSource::fire_wave() {
+void BurstWaveSource::fire_wave() {
   ++waves_;
-  for (int i = 0; i < config_.crowd_connections; ++i) {
-    launch(targets_[next_target_], config_.crowd_bytes);
+  for (int i = 0; i < schedule_.connections; ++i) {
+    ++connections_;
+    bytes_queued_ += schedule_.bytes;
+    launch_burst(host_, targets_[next_target_], sink_port_, schedule_.bytes);
     next_target_ = (next_target_ + 1) % targets_.size();
   }
-  if (waves_ < static_cast<std::uint64_t>(config_.crowd_repeats)) {
-    sim_.schedule(config_.crowd_period, [this] { fire_wave(); });
+  if (schedule_.waves == 0 || waves_ < schedule_.waves) {
+    sim_.schedule(schedule_.period, [this] { fire_wave(); });
   }
-}
-
-void FlashCrowdSource::launch(net::Ipv4Address target, std::uint64_t bytes) {
-  ++connections_;
-  bytes_queued_ += bytes;
-  launch_burst(host_, target, sink_port_, bytes);
 }
 
 }  // namespace riptide::cdn

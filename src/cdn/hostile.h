@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -73,25 +72,26 @@ HostileConfig parse_hostile_spec(const std::string& spec);
 // config.
 std::string to_spec_string(const HostileConfig& config);
 
-// The shallow-buffer scenarios shrink the WAN bottleneck before the world
-// is built (a topology property, not a traffic source). Callers mutate
-// their TopologyConfig with this before constructing the Experiment;
-// returns true when a shrink was applied.
-bool apply_shallow_buffer(const HostileConfig& config,
-                          std::size_t& wan_queue_packets);
-
-// One host's side of the synchronized fan-in: at incast_start +
-// k*incast_interval (absolute simulation times, so every source across
-// every PoP fires in the same instant), open `fanin_connections` fresh
-// connections to the victim PoP's hosts and push burst_bytes down each.
-// Fresh connections are the point: each one reads the route's initcwnd
-// at SYN time, so a Riptide-boosted route turns the wave into
-// synchronized line-rate bursts.
-class IncastSource {
+// One host's side of a burst scenario (incast fan-in, flash crowd): at
+// first_wave + k*period (absolute simulation times, so every source across
+// every PoP fires in the same instant), for k < waves (0 = unbounded), open
+// `connections` fresh connections spread round-robin over `targets` and
+// push `bytes` down each. Fresh connections are the point: each one reads
+// the route's initcwnd at SYN time, so a Riptide-boosted route turns the
+// wave into synchronized line-rate bursts.
+class BurstWaveSource {
  public:
-  IncastSource(sim::Simulator& sim, host::Host& host,
-               std::vector<net::Ipv4Address> victims, std::uint16_t sink_port,
-               const HostileConfig& config);
+  struct Schedule {
+    sim::Time first_wave;
+    sim::Time period;
+    std::uint64_t waves = 0;  // 0 = unbounded
+    int connections = 0;      // fresh connections per wave
+    std::uint64_t bytes = 0;  // pushed down each connection
+  };
+
+  BurstWaveSource(sim::Simulator& sim, host::Host& host,
+                  std::vector<net::Ipv4Address> targets,
+                  std::uint16_t sink_port, Schedule schedule);
 
   void start();
 
@@ -101,44 +101,12 @@ class IncastSource {
 
  private:
   void fire_wave();
-  void launch(net::Ipv4Address target, std::uint64_t bytes);
-
-  sim::Simulator& sim_;
-  host::Host& host_;
-  std::vector<net::Ipv4Address> victims_;
-  std::uint16_t sink_port_;
-  HostileConfig config_;
-  std::size_t next_victim_ = 0;
-  std::uint64_t waves_ = 0;
-  std::uint64_t connections_ = 0;
-  std::uint64_t bytes_queued_ = 0;
-  bool started_ = false;
-};
-
-// One host's side of the flash crowd: at crowd_at + k*crowd_period for
-// k < crowd_repeats, open `crowd_connections` fresh connections spread
-// round-robin over every other PoP and push crowd_bytes down each.
-class FlashCrowdSource {
- public:
-  FlashCrowdSource(sim::Simulator& sim, host::Host& host,
-                   std::vector<net::Ipv4Address> targets,
-                   std::uint16_t sink_port, const HostileConfig& config);
-
-  void start();
-
-  std::uint64_t waves_fired() const { return waves_; }
-  std::uint64_t connections_opened() const { return connections_; }
-  std::uint64_t bytes_queued() const { return bytes_queued_; }
-
- private:
-  void fire_wave();
-  void launch(net::Ipv4Address target, std::uint64_t bytes);
 
   sim::Simulator& sim_;
   host::Host& host_;
   std::vector<net::Ipv4Address> targets_;
   std::uint16_t sink_port_;
-  HostileConfig config_;
+  Schedule schedule_;
   std::size_t next_target_ = 0;
   std::uint64_t waves_ = 0;
   std::uint64_t connections_ = 0;

@@ -278,7 +278,6 @@ cdn::ExperimentConfig ChaosSpec::to_config() const {
   }
 
   config.hostile = hostile;
-  cdn::apply_shallow_buffer(hostile, config.topology.wan_queue_packets);
 
   if (!faults.empty()) {
     faults::FaultHarness::install(config, faults);

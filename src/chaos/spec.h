@@ -65,10 +65,10 @@ struct ChaosSpec {
   std::string to_string() const;
 
   // The complete experiment configuration for this spec: world shape,
-  // policy, hostile scenario (including the shallow-buffer queue shrink),
-  // fault harness installation, checkpointing when the plan crashes or
-  // corrupts snapshots, and the break hook. Agents always reconcile
-  // routes so the route-consistency oracle has its subject.
+  // policy, hostile scenario, fault harness installation, checkpointing
+  // when the plan crashes or corrupts snapshots, and the break hook.
+  // Agents always reconcile routes so the route-consistency oracle has its
+  // subject.
   cdn::ExperimentConfig to_config() const;
 
   // Whether any fault event needs persistence (crash / snapshot-corrupt):

@@ -14,18 +14,8 @@ void HostRouteProgrammer::set_initial_windows(const net::Prefix& dst,
     throw std::invalid_argument(
         "HostRouteProgrammer: refusing to replace the default route");
   }
-  // Resolve the egress from the underlying route, not from a previously
-  // installed Riptide route for the same destination — otherwise a path
-  // change (e.g. failover of the default route) would never propagate.
-  const host::RouteEntry* covering =
-      host_.routing_table().lookup_excluding(dst.address(), dst);
-  if (covering == nullptr || covering->device == nullptr) {
-    throw std::logic_error("HostRouteProgrammer: no covering route for " +
-                           dst.to_string());
-  }
   host_.routing_table().add_or_replace(
-      dst, *covering->device,
-      host::RouteMetrics{initcwnd_segments, initrwnd_segments, cc});
+      dst, host::RouteMetrics{initcwnd_segments, initrwnd_segments, cc});
   ++routes_programmed_;
 }
 

@@ -29,10 +29,10 @@ class RouteProgrammer {
   virtual void clear(const net::Prefix& dst) = 0;
 };
 
-// Programs a simulated host's routing table, preserving the egress device
-// of the route that currently covers the destination — the paper's "set a
+// Programs a simulated host's routing table. A route holds metrics only and
+// every segment leaves by the host's one uplink, so the paper's "set a
 // route which otherwise reflects identical settings to the default route"
-// (§III-C).
+// (§III-C) holds by construction.
 class HostRouteProgrammer : public RouteProgrammer {
  public:
   explicit HostRouteProgrammer(host::Host& host) : host_(host) {}

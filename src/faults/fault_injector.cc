@@ -314,10 +314,8 @@ void FaultInjector::apply_route_drift(const FaultEvent& ev) {
     }
     for (std::size_t m = 0; m < to_mangle && i < total; ++m, ++i) {
       const host::RouteEntry& entry = learned[i];
-      if (entry.device == nullptr) continue;
       routes.add_or_replace(
-          entry.prefix, *entry.device,
-          host::RouteMetrics{1, entry.metrics.initrwnd_segments});
+          entry.prefix, host::RouteMetrics{1, entry.metrics.initrwnd_segments});
       ++stats_.routes_mangled;
     }
   });

@@ -14,10 +14,7 @@ Host::Host(sim::Simulator& sim, std::string name, net::Ipv4Address address,
       address_(address),
       default_config_(default_config) {}
 
-void Host::attach_uplink(net::PacketSink& uplink) {
-  uplink_ = &uplink;
-  routes_.add_or_replace(net::Prefix(net::Ipv4Address(0), 0), uplink);
-}
+void Host::attach_uplink(net::PacketSink& uplink) { uplink_ = &uplink; }
 
 tcp::TcpConfig Host::effective_config(net::Ipv4Address peer,
                                       const tcp::TcpConfig& base) const {
@@ -117,8 +114,7 @@ void Host::send_segment_thunk(void* ctx, const tcp::FourTuple& tuple,
 }
 
 void Host::send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg) {
-  const RouteEntry* route = routes_.lookup(tuple.remote_addr);
-  if (route == nullptr || route->device == nullptr) {
+  if (uplink_ == nullptr) {
     ++stats_.no_route_drops;
     return;
   }
@@ -128,12 +124,11 @@ void Host::send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg) {
   packet.size_bytes = seg->payload_bytes + default_config_.header_bytes;
   packet.payload = std::move(seg).ref();
   ++stats_.packets_sent;
-  route->device->receive(packet);
+  uplink_->receive(packet);
 }
 
 void Host::send_rst_for(const net::Packet& packet, const tcp::Segment& seg) {
-  const RouteEntry* route = routes_.lookup(packet.src);
-  if (route == nullptr || route->device == nullptr) return;
+  if (uplink_ == nullptr) return;
   tcp::SegmentRef rst = tcp::SegmentPool::local().allocate();
   rst->src_port = seg.dst_port;
   rst->dst_port = seg.src_port;
@@ -147,7 +142,7 @@ void Host::send_rst_for(const net::Packet& packet, const tcp::Segment& seg) {
   out.payload = std::move(rst).ref();
   ++stats_.rst_sent;
   ++stats_.packets_sent;
-  route->device->receive(out);
+  uplink_->receive(out);
 }
 
 void Host::receive(const net::Packet& packet) {

@@ -52,7 +52,8 @@ struct HostStats {
 //
 // Route metrics are consulted once per connection at setup time — for both
 // actively opened and accepted connections, exactly as the kernel does —
-// which is the hook Riptide exploits without touching the peer.
+// which is the hook Riptide exploits without touching the peer. They play
+// no part in forwarding: with one NIC, every segment leaves by the uplink.
 class Host : public net::PacketSink {
  public:
   // The accept hook runs before the SYN is processed so the application can
@@ -62,7 +63,10 @@ class Host : public net::PacketSink {
   Host(sim::Simulator& sim, std::string name, net::Ipv4Address address,
        tcp::TcpConfig default_config = {});
 
-  // Points the default route (0.0.0.0/0) at `uplink`.
+  // Sets the NIC's far end: every segment and RST this host sends is
+  // handed to `uplink`. Installs no route. Until an uplink is attached,
+  // segments are discarded and counted in HostStats::no_route_drops (RSTs
+  // are discarded uncounted).
   void attach_uplink(net::PacketSink& uplink);
 
   // Active open. The effective TcpConfig starts from the host default,

@@ -5,16 +5,14 @@
 namespace riptide::host {
 
 void RoutingTable::add_or_replace(const net::Prefix& prefix,
-                                  net::PacketSink& device,
                                   RouteMetrics metrics) {
   for (auto& entry : entries_) {
     if (entry.prefix == prefix) {
-      entry.device = &device;
       entry.metrics = metrics;
       return;
     }
   }
-  entries_.push_back(RouteEntry{prefix, &device, metrics});
+  entries_.push_back(RouteEntry{prefix, metrics});
   std::stable_sort(entries_.begin(), entries_.end(),
                    [](const RouteEntry& a, const RouteEntry& b) {
                      return a.prefix.length() > b.prefix.length();
@@ -59,15 +57,6 @@ std::vector<RouteEntry> RoutingTable::learned_routes() const {
 
 const RouteEntry* RoutingTable::lookup(net::Ipv4Address dst) const {
   for (const auto& entry : entries_) {
-    if (entry.prefix.contains(dst)) return &entry;
-  }
-  return nullptr;
-}
-
-const RouteEntry* RoutingTable::lookup_excluding(
-    net::Ipv4Address dst, const net::Prefix& excluded) const {
-  for (const auto& entry : entries_) {
-    if (entry.prefix == excluded) continue;
     if (entry.prefix.contains(dst)) return &entry;
   }
   return nullptr;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "net/ipv4.h"
-#include "net/packet.h"
 #include "tcp/config.h"
 
 namespace riptide::host {
@@ -26,19 +25,19 @@ struct RouteMetrics {
 
 struct RouteEntry {
   net::Prefix prefix;
-  net::PacketSink* device = nullptr;  // egress (the host uplink in practice)
   RouteMetrics metrics;
 };
 
 // A host routing table with longest-prefix-match semantics and `ip route`
-// style mutation. Lookups happen at connection setup only (as in Linux,
+// style mutation. It holds metrics only: a host has one NIC, so there is no
+// egress to resolve, and segments leave by the uplink without consulting
+// it. Lookups happen when a connection is opened or accepted (as in Linux,
 // where the route's initcwnd is read once when the socket transmits its
 // SYN), so a linear scan over a sorted vector is plenty.
 class RoutingTable {
  public:
   // `ip route replace <prefix> ... initcwnd N initrwnd M`
-  void add_or_replace(const net::Prefix& prefix, net::PacketSink& device,
-                      RouteMetrics metrics = {});
+  void add_or_replace(const net::Prefix& prefix, RouteMetrics metrics = {});
 
   // `ip route del <prefix>`; returns false when absent.
   bool remove(const net::Prefix& prefix);
@@ -57,12 +56,6 @@ class RoutingTable {
 
   // Longest-prefix match; nullptr when nothing covers `dst`.
   const RouteEntry* lookup(net::Ipv4Address dst) const;
-
-  // Longest-prefix match skipping the entry for exactly `excluded`. Used
-  // when *replacing* a route: the new entry's egress should come from the
-  // underlying (less specific) route, not from the route being replaced.
-  const RouteEntry* lookup_excluding(net::Ipv4Address dst,
-                                     const net::Prefix& excluded) const;
 
   // Effective initial windows for a destination: the most specific route's
   // metric, or `fallback` where the metric is unset.

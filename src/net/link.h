@@ -35,9 +35,9 @@ struct LinkStats {
 //
 // Lifetime: a Link schedules delivery events that reference it, so it must
 // outlive the simulation run (or at least every packet admitted to it).
-// Topologies own their links for the full run; to "replace" a link (e.g.
-// degrade a path mid-run), point the routes at a new Link and keep the old
-// one alive until its queue drains.
+// Topologies own their links for the full run. To degrade a path mid-run,
+// mutate its link in place (below): a host sends by the one uplink it was
+// given and cannot be re-pointed at a replacement link.
 //
 // The transmission pipeline is modeled with a single "transmitter busy
 // until" timestamp: a packet admitted at time t starts serializing at

@@ -232,9 +232,4 @@ struct TraceEvent {
 // %.17g so export is byte-stable and round-trips exactly.
 std::string to_json(const TraceEvent& event);
 
-// Flat CSV row matching csv_header(); fields a kind does not use are left
-// empty. For spreadsheet spelunking; the JSONL form is the tool interface.
-std::string to_csv(const TraceEvent& event);
-const char* csv_header();
-
 }  // namespace riptide::trace

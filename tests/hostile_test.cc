@@ -133,6 +133,12 @@ TEST(HostileSourceTest, CombinedRunsBothGenerators) {
   for (const auto& source : experiment.flash_crowd_sources()) {
     EXPECT_EQ(source->waves_fired(), 1u);
   }
+  // ...and the shallow-buffer half: the experiment shrank its WAN queues
+  // from the spec before building the topology.
+  const std::size_t queue = experiment.config().hostile.queue_packets;
+  EXPECT_EQ(experiment.config().topology.wan_queue_packets, queue);
+  EXPECT_EQ(experiment.topology().wan_link(0, 1).config().queue_packets,
+            queue);
 }
 
 TEST(HostileSourceTest, VictimPopMustExist) {
@@ -160,9 +166,7 @@ cdn::ExperimentConfig hostile_world(const char* policy_name) {
   config.duration = Time::seconds(60);
   config.seed = 11;
 
-  const auto hostile = parse_hostile_spec("shallow-buffer:queue=24");
-  config.hostile = hostile;
-  config.topology.wan_queue_packets = hostile.queue_packets;
+  config.hostile = parse_hostile_spec("shallow-buffer:queue=24");
   policy::apply_policy(config, policy::parse_policy(policy_name));
   return config;
 }

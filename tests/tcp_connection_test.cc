@@ -156,7 +156,6 @@ TEST(TcpConnectionTest, LargerInitcwndSavesRoundTrips) {
   // enough advertised receive window on the requester (a).
   fast.b.routing_table().add_or_replace(
       net::Prefix::host(fast.a.address()),
-      *fast.b.routing_table().lookup(fast.a.address())->device,
       host::RouteMetrics{50, 100});
   fast.a.default_config().initial_rwnd_segments = 100;
   serve_objects(fast.b, object);
@@ -176,7 +175,6 @@ TEST(TcpConnectionTest, SmallPeerInitrwndLimitsFirstBurst) {
   TwoHostNet net(Time::milliseconds(50));
   net.b.routing_table().add_or_replace(
       net::Prefix::host(net.a.address()),
-      *net.b.routing_table().lookup(net.a.address())->device,
       host::RouteMetrics{50, 100});
   net.a.default_config().initial_rwnd_segments = 10;  // tiny receive window
   serve_objects(net.b, object);
@@ -191,7 +189,6 @@ TEST(TcpConnectionTest, AcceptedConnectionUsesRouteInitcwnd) {
   TwoHostNet net(Time::milliseconds(10));
   net.b.routing_table().add_or_replace(
       net::Prefix::host(net.a.address()),
-      *net.b.routing_table().lookup(net.a.address())->device,
       host::RouteMetrics{42, 0});
   TcpConnection* accepted = nullptr;
   net.b.listen(kPort, [&](TcpConnection& conn) { accepted = &conn; });

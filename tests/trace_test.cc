@@ -69,7 +69,6 @@ TEST(TraceTest, RepeatRunsProduceIdenticalTraces) {
   ASSERT_NE(first.trace_sink(), nullptr);
   ASSERT_NE(second.trace_sink(), nullptr);
   EXPECT_EQ(first.trace_sink()->to_jsonl(), second.trace_sink()->to_jsonl());
-  EXPECT_EQ(first.trace_sink()->to_csv(), second.trace_sink()->to_csv());
 }
 
 TEST(TraceTest, ThreadCountInvariantTraces) {

@@ -27,11 +27,18 @@ run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
 
 # One sanitizer pass runs every test once, each under the 300 s limit, so
 # a wedged simulation fails the build rather than hanging it. The ctest
-# labels (chaos, persist, sched, hostile, chaos-search, cc) still select
-# a subsystem's suites by hand: `ctest --test-dir build-ci-asan -L chaos`.
+# labels (chaos, persist, sched, hostile, chaos-search, cc, examples) still
+# select a subsystem's suites by hand: `ctest --test-dir build-ci-asan -L
+# chaos`.
 run_config build-ci-asan \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRIPTIDE_SANITIZE=ON
+
+# Repo benchmark selftest: builds perfbench from src/ (into .bench_build/),
+# runs its selftest and checks its metric names against BENCHMARK.json, so
+# a change to a seam it uses fails here, not in the benchmark run.
+echo "==== perfbench selftest ===="
+python3 perfbench/run.py --selftest
 
 # Chaos campaign smoke (Release): a short seeded campaign end to end
 # through the CLI. A healthy tree must come back with zero findings; any

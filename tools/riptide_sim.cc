@@ -5,21 +5,8 @@
 // percentiles per size, and agent counters. Handy for parameter
 // exploration without writing C++.
 //
-// Usage:
-//   riptide_sim [--pops N] [--hosts N] [--duration SECONDS] [--seed S]
-//               [--riptide 0|1] [--cmax N] [--cmin N] [--alpha F]
-//               [--interval SECONDS] [--ttl SECONDS]
-//               [--combiner avg|max|weighted] [--prefix-granularity]
-//               [--probe-interval SECONDS] [--wan-loss P] [--organic POP]
-//               [--pacing] [--cc NAME] [--threads N] [--sweep-seeds A,B,C]
-//               [--trace PATH.jsonl] [--trace-ring N]
-//               [--flow-traffic FLOWS_PER_SEC]
-//               [--policy NAME] [--hostile SPEC] [--faults SPEC]
-//               [--validate-only]
-//               [--chaos N] [--chaos-seed S] [--chaos-out DIR]
-//               [--repro FILE] [--help]
-//
-// --help prints the full flag reference (kHelpText below); docs/CLI.md is
+// Usage: riptide_sim [flags]. --help prints the flag reference (kHelpText
+// below; a bad flag prints it to stderr and exits 2); docs/CLI.md is
 // generated from it and tools/check_cli_docs.py keeps the two in sync.
 //
 // With --sweep-seeds, the same scenario is run once per seed — fanned
@@ -162,51 +149,15 @@ Misc:
   --help               print this reference and exit 0
 )HELP";
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--pops N] [--hosts N] [--duration S] [--seed S]\n"
-               "  [--riptide 0|1] [--cmax N] [--cmin N] [--alpha F]\n"
-               "  [--interval S] [--ttl S] [--combiner avg|max|weighted]\n"
-               "  [--prefix-granularity] [--probe-interval S]\n"
-               "  [--wan-loss P] [--organic POP_INDEX] [--pacing]\n"
-               "  [--cc reno|cubic|cubic-fast|bbr]\n"
-               "  [--threads N] [--sweep-seeds A,B,C]\n"
-               "  [--trace PATH.jsonl] [--trace-ring N]\n"
-               "  [--flow-traffic FLOWS_PER_SEC]\n"
-               "  [--policy NAME] [--hostile SPEC] [--faults SPEC]\n"
-               "  [--validate-only] [--chaos N] [--chaos-seed S]\n"
-               "  [--chaos-out DIR] [--repro FILE] [--help]\n"
-               "\n"
-               "  --policy NAME     initcwnd policy: default | static-iwN[@L]\n"
-               "                    | adaptive[-governed][@L] | oracle[@L]\n"
-               "                    (L = route prefix length, default 32;\n"
-               "                    overrides --riptide)\n"
-               "  --hostile SPEC    adversarial scenario: shallow-buffer |\n"
-               "                    incast | flash-crowd | combined, with\n"
-               "                    optional :key=val,... tuning (see\n"
-               "                    src/cdn/hostile.h)\n"
-               "  --faults SPEC     declarative fault plan (src/faults), e.g.\n"
-               "                    \"@5 down 0-1; @10 up 0-1\"\n"
-               "  --validate-only   parse --faults/--hostile/--policy, report\n"
-               "                    offending token + byte offset, exit 0/1\n"
-               "                    without running anything\n"
-               "  --chaos N         run an N-spec chaos-search campaign with\n"
-               "                    invariant oracles; minimized repro specs\n"
-               "                    land in --chaos-out (default \".\"); the\n"
-               "                    campaign is deterministic in --chaos-seed\n"
-               "  --repro FILE      replay one chaos spec file and report its\n"
-               "                    oracle violations (exit 1 when any fire)\n"
-               "  --flow-traffic F  fluid cross-traffic, F flows/sec per WAN\n"
-               "                    link (flow-level FCT model; probe flows\n"
-               "                    stay packet-level).\n",
-               argv0);
+[[noreturn]] void usage() {
+  std::fputs(kHelpText, stderr);
   std::exit(2);
 }
 
 Options parse(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage(argv[0]);
+    if (i + 1 >= argc) usage();
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
@@ -247,7 +198,7 @@ Options parse(int argc, char** argv) {
       } else if (kind == "weighted") {
         opt.config.riptide.combiner = core::CombinerKind::kTrafficWeighted;
       } else {
-        usage(argv[0]);
+        usage();
       }
     } else if (arg == "--prefix-granularity") {
       opt.config.riptide.granularity = core::Granularity::kPrefix;
@@ -264,7 +215,7 @@ Options parse(int argc, char** argv) {
       opt.config.topology.host_tcp.pacing = true;
     } else if (arg == "--cc") {
       tcp::RouteCc cc = tcp::RouteCc::kUnset;
-      if (!tcp::parse_route_cc(need_value(i), cc)) usage(argv[0]);
+      if (!tcp::parse_route_cc(need_value(i), cc)) usage();
       tcp::apply_route_cc(cc, opt.config.topology.host_tcp);
     } else if (arg == "--trace") {
       opt.config.trace.enabled = true;
@@ -272,12 +223,12 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--trace-ring") {
       opt.config.trace.ring_capacity =
           static_cast<std::size_t>(std::atoll(need_value(i)));
-      if (opt.config.trace.ring_capacity == 0) usage(argv[0]);
+      if (opt.config.trace.ring_capacity == 0) usage();
     } else if (arg == "--threads") {
       opt.threads = static_cast<unsigned>(std::atoi(need_value(i)));
     } else if (arg == "--flow-traffic") {
       const double fps = std::atof(need_value(i));
-      if (fps <= 0.0) usage(argv[0]);
+      if (fps <= 0.0) usage();
       opt.config.flow_traffic.enabled = true;
       opt.config.flow_traffic.model.flows_per_second = fps;
     } else if (arg == "--policy") {
@@ -290,7 +241,7 @@ Options parse(int argc, char** argv) {
       opt.validate_only = true;
     } else if (arg == "--chaos") {
       const int n = std::atoi(need_value(i));
-      if (n <= 0) usage(argv[0]);
+      if (n <= 0) usage();
       opt.chaos = static_cast<std::size_t>(n);
     } else if (arg == "--chaos-seed") {
       opt.chaos_seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
@@ -303,11 +254,11 @@ Options parse(int argc, char** argv) {
       while (*p != '\0') {
         char* end = nullptr;
         opt.sweep_seeds.push_back(std::strtoull(p, &end, 10));
-        if (end == p) usage(argv[0]);
+        if (end == p) usage();
         p = (*end == ',') ? end + 1 : end;
       }
     } else {
-      usage(argv[0]);
+      usage();
     }
   }
   return opt;
@@ -458,13 +409,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--hostile: victim PoP %zu out of range [0, %zu)\n",
                    opt.config.hostile.victim_pop, opt.pops);
       return 2;
-    }
-    if (opt.config.hostile.kind == cdn::HostileKind::kShallowBuffer ||
-        opt.config.hostile.kind == cdn::HostileKind::kCombined) {
-      // The shallow bottleneck is a topology property, not a traffic
-      // source: shrink the WAN queues before the world is built.
-      opt.config.topology.wan_queue_packets =
-          opt.config.hostile.queue_packets;
     }
   }
 
