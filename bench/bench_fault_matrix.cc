@@ -10,13 +10,13 @@
 // retransmissions/timeouts must not blow up because a hardened agent kept
 // pushing stale windows.
 //
-// The recovery scenarios (reboot-*, snap-corrupt, route-drift,
-// gov-rollback) additionally report, per treatment run, the time for the
-// host-wide installed-initcwnd total to climb back to 90% of its
-// pre-crash steady state — sampled once per simulated second by a
-// read-only probe that leaves the simulation untouched. Durable-state
-// knobs are enabled per scenario; every legacy scenario runs with the
-// knobs at their defaults and its output stays byte-identical.
+// The recovery scenarios (reboot-*, route-drift, gov-rollback) additionally
+// report, per treatment run, the time for the host-wide installed-initcwnd
+// total to climb back to 90% of its pre-crash steady state — sampled once
+// per simulated second by a read-only probe that leaves the simulation
+// untouched. Durable-state knobs are enabled per scenario; every legacy
+// scenario runs with the knobs at their defaults and its output stays
+// byte-identical.
 //
 //   --spec "<fault spec>"   run one custom scenario instead of the matrix
 //   --duration S            simulated seconds per run (default 150)
@@ -72,24 +72,17 @@ std::vector<Scenario> default_matrix() {
        {}},
   };
 
-  const auto snapshots_on = [](cdn::ExperimentConfig& config) {
-    config.riptide.checkpoint_interval = sim::Time::seconds(2);
-  };
   // Host reboot: process AND learned routes die. Cold pays the full
-  // re-learning horizon; warm restores the persisted table and reprograms
-  // routes before the first poll.
+  // re-learning horizon; warm restores the checkpointed table and
+  // reprograms routes before the first poll.
   matrix.push_back({"reboot-cold", "@60 crash -1 5 reboot-cold",
                     /*knobs=*/[](cdn::ExperimentConfig&) {}, 60.0, 65.0});
-  matrix.push_back(
-      {"reboot-warm", "@60 crash -1 5 reboot-warm", snapshots_on, 60.0, 65.0});
-  // Newest snapshot gets a header bit flipped just before the reboot:
-  // restore must fall back to the previous generation, not crash or come
-  // up empty. Offset 13 lands inside the header, rejecting the whole
-  // snapshot; @59 sits between the last two checkpoint ticks (even
-  // seconds) so no fresh snapshot papers over the damage.
-  matrix.push_back({"snap-corrupt",
-                    "@59 snap-corrupt -1 13; @60 crash -1 5 reboot-warm",
-                    snapshots_on, 60.0, 65.0});
+  matrix.push_back({"reboot-warm", "@60 crash -1 5 reboot-warm",
+                    [](cdn::ExperimentConfig& config) {
+                      config.riptide.checkpoint_interval =
+                          sim::Time::seconds(2);
+                    },
+                    60.0, 65.0});
   // An outside actor deletes half the learned routes and mangles a
   // quarter; the reconciler must repair the drift within a poll.
   matrix.push_back({"route-drift", "@60 route-drift -1 0.5 0.25",
@@ -282,7 +275,7 @@ int main(int argc, char** argv) {
       std::uint64_t retrans = 0, timeouts = 0;
       cdn::Topology::DropTotals drops;
       core::AgentStats agents;
-      persist::CheckpointerStats persist_totals;
+      faults::CheckpointStats checkpoint_totals;
       faults::FaultInjectorStats injector_totals;
       double recovery_sum = 0.0;
       std::size_t recovery_runs = 0, recovered = 0;
@@ -301,15 +294,12 @@ int main(int argc, char** argv) {
         for (const auto& agent : e.agents()) agents += agent->stats();
         if (!extended) continue;
         if (const auto* harness = faults::FaultHarness::from(e)) {
-          const auto p = harness->checkpointer_totals();
-          persist_totals.checkpoints_written += p.checkpoints_written;
-          persist_totals.restores += p.restores;
-          persist_totals.snapshots_rejected += p.snapshots_rejected;
-          persist_totals.records_recovered += p.records_recovered;
-          persist_totals.records_discarded += p.records_discarded;
+          const auto c = harness->checkpoint_totals();
+          checkpoint_totals.checkpoints_written += c.checkpoints_written;
+          checkpoint_totals.restores += c.restores;
+          checkpoint_totals.records_recovered += c.records_recovered;
           const auto& inj = harness->injector().stats();
           injector_totals.routes_flushed += inj.routes_flushed;
-          injector_totals.snapshots_corrupted += inj.snapshots_corrupted;
           injector_totals.routes_dropped += inj.routes_dropped;
           injector_totals.routes_mangled += inj.routes_mangled;
         }
@@ -390,7 +380,7 @@ int main(int argc, char** argv) {
       std::printf(
           "%-14s %-10s reconcile rep/orph/conf %llu/%llu/%llu | governor "
           "scale/skip/rollback/rolled/cooldown %llu/%llu/%llu/%llu/%llu | "
-          "persist ckpt/restore/reject/rec/disc %llu/%llu/%llu/%llu/%llu\n",
+          "persist ckpt/restore/rec %llu/%llu/%llu\n",
           "", "", static_cast<unsigned long long>(agents.reconcile_repaired),
           static_cast<unsigned long long>(agents.reconcile_orphaned),
           static_cast<unsigned long long>(agents.reconcile_conflicting),
@@ -399,11 +389,11 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(agents.governor_rollbacks),
           static_cast<unsigned long long>(agents.governor_routes_rolled_back),
           static_cast<unsigned long long>(agents.governor_cooldown_polls),
-          static_cast<unsigned long long>(persist_totals.checkpoints_written),
-          static_cast<unsigned long long>(persist_totals.restores),
-          static_cast<unsigned long long>(persist_totals.snapshots_rejected),
-          static_cast<unsigned long long>(persist_totals.records_recovered),
-          static_cast<unsigned long long>(persist_totals.records_discarded));
+          static_cast<unsigned long long>(
+              checkpoint_totals.checkpoints_written),
+          static_cast<unsigned long long>(checkpoint_totals.restores),
+          static_cast<unsigned long long>(
+              checkpoint_totals.records_recovered));
       if (opt.base.json) {
         std::printf(
             "{\"bench\":\"fault_matrix_ext\",\"scenario\":\"%s\","
@@ -415,11 +405,9 @@ int main(int argc, char** argv) {
             "\"hysteresis_skips\":%llu,\"rollbacks\":%llu,"
             "\"routes_rolled_back\":%llu,\"cooldown_polls\":%llu},"
             "\"persist\":{\"checkpoints_written\":%llu,\"restores\":%llu,"
-            "\"snapshots_rejected\":%llu,\"records_recovered\":%llu,"
-            "\"records_discarded\":%llu},"
+            "\"records_recovered\":%llu},"
             "\"injector\":{\"routes_flushed\":%llu,"
-            "\"snapshots_corrupted\":%llu,\"routes_dropped\":%llu,"
-            "\"routes_mangled\":%llu}}\n",
+            "\"routes_dropped\":%llu,\"routes_mangled\":%llu}}\n",
             matrix[s].name.c_str(), arm_name, recovery_avg, recovered,
             recovery_runs,
             static_cast<unsigned long long>(agents.reconcile_repaired),
@@ -430,14 +418,12 @@ int main(int argc, char** argv) {
             static_cast<unsigned long long>(agents.governor_rollbacks),
             static_cast<unsigned long long>(agents.governor_routes_rolled_back),
             static_cast<unsigned long long>(agents.governor_cooldown_polls),
-            static_cast<unsigned long long>(persist_totals.checkpoints_written),
-            static_cast<unsigned long long>(persist_totals.restores),
-            static_cast<unsigned long long>(persist_totals.snapshots_rejected),
-            static_cast<unsigned long long>(persist_totals.records_recovered),
-            static_cast<unsigned long long>(persist_totals.records_discarded),
-            static_cast<unsigned long long>(injector_totals.routes_flushed),
             static_cast<unsigned long long>(
-                injector_totals.snapshots_corrupted),
+                checkpoint_totals.checkpoints_written),
+            static_cast<unsigned long long>(checkpoint_totals.restores),
+            static_cast<unsigned long long>(
+                checkpoint_totals.records_recovered),
+            static_cast<unsigned long long>(injector_totals.routes_flushed),
             static_cast<unsigned long long>(injector_totals.routes_dropped),
             static_cast<unsigned long long>(injector_totals.routes_mangled));
       }

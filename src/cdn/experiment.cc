@@ -207,7 +207,7 @@ void Experiment::build_hostile() {
 void Experiment::run() {
   // The sink is created lazily here (not in build()) so a never-run
   // experiment owns nothing, and installed only for the span of the event
-  // loop: every emit site in tcp/core/net/faults/persist sees it through
+  // loop: every emit site in tcp/core/net/faults sees it through
   // the thread-local slot, including on a ParallelRunner worker thread.
   if (config_.trace.enabled && trace_sink_ == nullptr) {
     trace_sink_ = std::make_unique<trace::TraceSink>(config_.trace);

@@ -1,7 +1,7 @@
 #include "cdn/hostile.h"
 
+#include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
@@ -69,17 +69,6 @@ sim::Time parse_time_seconds(const std::string& text, std::size_t offset) {
     bad_spec("bad time", text, offset);
   }
   return sim::Time::from_seconds(seconds);
-}
-
-// Shortest decimal seconds that round-trip through parse_time_seconds.
-std::string format_seconds(sim::Time t) {
-  const double value = t.to_seconds();
-  char buf[64];
-  for (int precision : {6, 9, 15, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
 }
 
 }  // namespace
@@ -188,13 +177,13 @@ std::string to_spec_string(const HostileConfig& config) {
     add("burst", std::to_string(config.burst_bytes));
   }
   if (config.incast_start != defaults.incast_start) {
-    add("start", format_seconds(config.incast_start));
+    add("start", sim::shortest_seconds(config.incast_start));
   }
   if (config.incast_interval != defaults.incast_interval) {
-    add("interval", format_seconds(config.incast_interval));
+    add("interval", sim::shortest_seconds(config.incast_interval));
   }
   if (config.crowd_at != defaults.crowd_at) {
-    add("at", format_seconds(config.crowd_at));
+    add("at", sim::shortest_seconds(config.crowd_at));
   }
   if (config.crowd_connections != defaults.crowd_connections) {
     add("conns", std::to_string(config.crowd_connections));
@@ -206,7 +195,7 @@ std::string to_spec_string(const HostileConfig& config) {
     add("repeats", std::to_string(config.crowd_repeats));
   }
   if (config.crowd_period != defaults.crowd_period) {
-    add("period", format_seconds(config.crowd_period));
+    add("period", sim::shortest_seconds(config.crowd_period));
   }
   if (!opts.empty()) out += ":" + opts;
   return out;

@@ -1,7 +1,5 @@
 #include "cdn/metrics.h"
 
-#include <ostream>
-
 namespace riptide::cdn {
 
 RttBucket bucket_for(double rtt_ms) {
@@ -28,24 +26,6 @@ stats::Cdf MetricsCollector::completion_cdf(
     if (predicate(flow)) cdf.add(flow.duration.to_milliseconds());
   }
   return cdf;
-}
-
-void MetricsCollector::write_flows_csv(std::ostream& os) const {
-  os << "started_ms,duration_ms,src_pop,dst_pop,object_bytes,fresh,"
-        "base_rtt_ms\n";
-  for (const auto& f : flows_) {
-    os << f.started.to_milliseconds() << ',' << f.duration.to_milliseconds()
-       << ',' << f.src_pop << ',' << f.dst_pop << ',' << f.object_bytes
-       << ',' << (f.fresh ? 1 : 0) << ',' << f.base_rtt_ms << '\n';
-  }
-}
-
-void MetricsCollector::write_cwnd_csv(std::ostream& os) const {
-  os << "at_ms,pop,cwnd_segments\n";
-  for (const auto& s : cwnd_samples_) {
-    os << s.at.to_milliseconds() << ',' << s.pop << ',' << s.cwnd_segments
-       << '\n';
-  }
 }
 
 stats::Cdf MetricsCollector::cwnd_cdf(int pop) const {

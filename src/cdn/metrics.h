@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "sim/time.h"
@@ -58,10 +57,6 @@ class MetricsCollector {
   stats::Cdf cwnd_cdf(int pop = -1) const;
 
   std::size_t flow_count() const { return flows_.size(); }
-
-  // Plot-ready CSV exports (header + one row per record).
-  void write_flows_csv(std::ostream& os) const;
-  void write_cwnd_csv(std::ostream& os) const;
 
  private:
   std::vector<FlowRecord> flows_;

@@ -21,7 +21,6 @@ bool agent_faults_fit(const faults::FaultPlan& plan, std::size_t pops,
   for (const auto& event : plan.events()) {
     switch (event.kind) {
       case faults::FaultKind::kAgentCrash:
-      case faults::FaultKind::kSnapshotCorrupt:
       case faults::FaultKind::kRouteDrift:
         if (event.host_index >= total) return false;
         break;

@@ -1,6 +1,6 @@
 #include "chaos/spec.h"
 
-#include <cstdio>
+#include <cerrno>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -48,17 +48,6 @@ double parse_double(const std::string& text, double min, double max,
   return value;
 }
 
-// Shortest decimal that round-trips through strtod, so canonical spec
-// text stays short and parse(to_string()) is exact.
-std::string format_double(double value) {
-  char buf[64];
-  for (int precision : {6, 9, 15, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
 // Rethrows a sub-grammar parse error anchored at the embedding spec's
 // value offset, so a campaign log points into the chaos spec file, not
 // into a string nobody can see.
@@ -93,10 +82,7 @@ ChaosSpec ChaosSpec::golden_spec() {
 
 bool ChaosSpec::needs_persistence() const {
   for (const auto& event : faults.events()) {
-    if (event.kind == faults::FaultKind::kAgentCrash ||
-        event.kind == faults::FaultKind::kSnapshotCorrupt) {
-      return true;
-    }
+    if (event.kind == faults::FaultKind::kAgentCrash) return true;
   }
   return false;
 }
@@ -208,7 +194,6 @@ ChaosSpec ChaosSpec::parse(const std::string& text) {
         }
         break;
       case faults::FaultKind::kAgentCrash:
-      case faults::FaultKind::kSnapshotCorrupt:
       case faults::FaultKind::kRouteDrift:
         if (event.host_index >= total_hosts) {
           bad_spec("fault host index out of range",
@@ -226,9 +211,9 @@ std::string ChaosSpec::to_string() const {
   std::string out = "# riptide chaos spec v1\n";
   out += "pops=" + std::to_string(pops) + "\n";
   out += "hosts=" + std::to_string(hosts) + "\n";
-  out += "duration=" + format_double(duration_s) + "\n";
+  out += "duration=" + sim::shortest_decimal(duration_s) + "\n";
   out += "seed=" + std::to_string(seed) + "\n";
-  out += "wan_loss=" + format_double(wan_loss) + "\n";
+  out += "wan_loss=" + sim::shortest_decimal(wan_loss) + "\n";
   out += "policy=" + policy::to_string(policy) + "\n";
   out += "hostile=" + cdn::to_spec_string(hostile) + "\n";
   out += "faults=" + faults::to_spec_string(faults) + "\n";

@@ -66,13 +66,13 @@ struct ChaosSpec {
 
   // The complete experiment configuration for this spec: world shape,
   // policy, hostile scenario, fault harness installation, checkpointing
-  // when the plan crashes or corrupts snapshots, and the break hook.
+  // when the plan crashes an agent, and the break hook.
   // Agents always reconcile routes so the route-consistency oracle has its
   // subject.
   cdn::ExperimentConfig to_config() const;
 
-  // Whether any fault event needs persistence (crash / snapshot-corrupt):
-  // to_config() arms checkpointing exactly then.
+  // Whether any fault event crashes an agent: to_config() arms the
+  // harness's periodic checkpoint exactly then.
   bool needs_persistence() const;
 };
 

@@ -138,17 +138,6 @@ void RiptideAgent::restore_table(ObservedTable snapshot,
   }
 }
 
-void RiptideAgent::absorb_restored_counters(const AgentStats& restored) {
-  stats_.polls = std::max(stats_.polls, restored.polls);
-  stats_.connections_observed =
-      std::max(stats_.connections_observed, restored.connections_observed);
-  stats_.destinations_updated =
-      std::max(stats_.destinations_updated, restored.destinations_updated);
-  stats_.routes_set = std::max(stats_.routes_set, restored.routes_set);
-  stats_.routes_expired =
-      std::max(stats_.routes_expired, restored.routes_expired);
-}
-
 void RiptideAgent::adopt_existing_routes() {
   // A previous incarnation (before a crash) may have left routes behind.
   // Adopt them, aged from now: they stay effective while fresh traffic

@@ -128,22 +128,16 @@ class RiptideAgent {
   // stale-window hazard the fault benches measure.
   void crash();
 
-  // Warm-restart support: a periodically persisted table snapshot can be
-  // restored before start() to resume with history instead of re-learning
-  // from scratch. With `reinstall_routes` the restored entries are also
-  // re-aged from now and programmed into the host routing table
-  // immediately — the jump-start for a host whose routes did not survive
-  // (reboot rather than mere process death). Without it the table is
-  // taken verbatim, timestamps included.
+  // Warm-restart support: a copy of the table kept outside the agent (the
+  // fault harness's checkpoint) can be restored before start() to resume
+  // with history instead of re-learning from scratch. With
+  // `reinstall_routes` the restored entries are also re-aged from now and
+  // programmed into the host routing table immediately — the jump-start
+  // for a host whose routes did not survive (reboot rather than mere
+  // process death). Without it the table is taken verbatim, timestamps
+  // included.
   ObservedTable snapshot_table() const { return table_; }
   void restore_table(ObservedTable snapshot, bool reinstall_routes = false);
-
-  // Folds counters recovered from a persisted snapshot into this agent's
-  // stats. Counters are cumulative and monotone, so the restored value is
-  // a floor: each counter becomes max(current, restored). A freshly
-  // constructed process adopts the snapshot's totals; an agent that
-  // already counted past them is left alone.
-  void absorb_restored_counters(const AgentStats& restored);
 
   // One Algorithm-1 iteration. Exposed so tests and tools can step the
   // agent deterministically.

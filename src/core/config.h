@@ -107,9 +107,9 @@ struct RiptideConfig {
   // to an agent that doesn't have the machinery at all.
   // ------------------------------------------------------------------
 
-  // How often the agent's learned state is checkpointed to a snapshot
-  // store (harnesses read this to decide whether to attach an
-  // AgentCheckpointer). Zero disables persistence entirely.
+  // How often the fault harness copies the agent's learned table into the
+  // checkpoint a warm restart restores. Zero takes no periodic copies: a
+  // warm restart then restores the table as it was at the crash.
   sim::Time checkpoint_interval = sim::Time::zero();
 
   // Each poll, diff the host routing table against what this agent

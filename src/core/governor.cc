@@ -167,8 +167,8 @@ double SafetyGovernor::budget_windows(const ObservedTable& table,
 
   // Shed-newest: a destination that has survived many poll rounds has
   // earned its window; one first seen a poll or two ago has not. The
-  // table has no first-seen timestamp (the snapshot codec pins the record
-  // layout), so the update count is the seniority measure.
+  // table keeps no first-seen timestamp, so the update count is the
+  // seniority measure.
   struct Candidate {
     std::size_t index;  // into `out`, which is in prefix order
     std::uint64_t updates;

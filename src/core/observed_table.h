@@ -36,7 +36,7 @@ class ObservedTable {
   void store_final(const net::Prefix& destination, double final_value,
                    sim::Time now);
 
-  // Installs a complete entry verbatim (snapshot restore); replaces any
+  // Installs a complete entry verbatim (warm restore); replaces any
   // existing entry for the destination.
   void put(const net::Prefix& destination, const DestinationState& state);
 
@@ -59,9 +59,9 @@ class ObservedTable {
   friend bool operator==(const ObservedTable&, const ObservedTable&) = default;
 
  private:
-  // Keyed by the explicit PrefixOrder: iteration order determines both
-  // snapshot record order and route-programming order, so it must be the
-  // same on every platform and in every process generation.
+  // Keyed by the explicit PrefixOrder: iteration order determines
+  // route-programming order (warm-restore reinstalls included), so it
+  // must be the same on every platform and in every process generation.
   std::map<net::Prefix, DestinationState, net::PrefixOrder> entries_;
 };
 

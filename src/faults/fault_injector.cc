@@ -52,7 +52,6 @@ void FaultInjector::validate(const FaultEvent& ev) const {
       }
       break;
     case FaultKind::kAgentCrash:
-    case FaultKind::kSnapshotCorrupt:
     case FaultKind::kRouteDrift:
       if (ev.host_index >= static_cast<int>(hooks_.size())) {
         throw std::invalid_argument(
@@ -129,9 +128,6 @@ void FaultInjector::apply(const FaultEvent& ev) {
       break;
     case FaultKind::kAgentCrash:
       apply_crash(ev);
-      break;
-    case FaultKind::kSnapshotCorrupt:
-      apply_snapshot_corrupt(ev);
       break;
     case FaultKind::kRouteDrift:
       apply_route_drift(ev);
@@ -236,15 +232,12 @@ void FaultInjector::crash_one(AgentHooks hooks, sim::Time downtime, bool warm,
                               bool flush_routes) {
   core::RiptideAgent* agent = hooks.agent;
   if (agent == nullptr || !agent->running()) return;
-  persist::AgentCheckpointer* checkpointer = hooks.checkpointer;
-  // Warm restart restores persisted state. With a real checkpointer the
-  // restore goes through the snapshot store and decoder — torn or
-  // corrupted snapshots included; without one, fall back to modeling a
-  // perfect checkpoint with an in-memory copy taken at crash time.
-  core::ObservedTable memory_snapshot;
-  if (warm && checkpointer == nullptr) {
-    memory_snapshot = agent->snapshot_table();
-  }
+  Checkpoint* checkpoint = hooks.checkpoint;
+  // Warm restart restores the newest periodic copy when the agent has a
+  // checkpoint; without one, a copy taken at crash time stands in for a
+  // perfect checkpoint.
+  core::ObservedTable crash_copy;
+  if (warm && checkpoint == nullptr) crash_copy = agent->snapshot_table();
   agent->crash();
   ++stats_.crashes_injected;
   if (flush_routes) {
@@ -257,42 +250,44 @@ void FaultInjector::crash_one(AgentHooks hooks, sim::Time downtime, bool warm,
     }
   }
   ++stats_.restarts_scheduled;
-  sim_.schedule(downtime, [this, agent, checkpointer, warm, flush_routes,
-                           memory_snapshot = std::move(memory_snapshot)] {
-    if (warm) {
-      if (checkpointer != nullptr) {
-        // Restore provenance (the agent-restore trace record) is emitted
-        // by the checkpointer, which knows the generation it used.
-        checkpointer->restore(/*reinstall_routes=*/flush_routes);
-      } else {
-        agent->restore_table(memory_snapshot,
-                             /*reinstall_routes=*/flush_routes);
-        if (auto* sink = trace::active()) {
-          trace::TraceEvent out;
-          out.at_ns = sim_.now().ns();
-          out.kind = trace::EventKind::kAgentRestore;
-          out.restore = {agent->host().address().value(),
-                         /*from_checkpoint=*/0,
-                         static_cast<std::uint8_t>(flush_routes ? 1 : 0),
-                         static_cast<std::uint32_t>(memory_snapshot.size()),
-                         /*generation=*/0,
-                         /*rejected=*/0};
-          sink->emit(out);
-        }
-      }
-    }
+  sim_.schedule(downtime, [this, agent, checkpoint, warm, flush_routes,
+                           crash_copy = std::move(crash_copy)] {
+    if (warm) restore(*agent, checkpoint, crash_copy, flush_routes);
     agent->start();
   });
 }
 
-void FaultInjector::apply_snapshot_corrupt(const FaultEvent& ev) {
-  const auto offset = static_cast<std::size_t>(ev.value);
-  for_targets(ev, [&](const AgentHooks& hooks) {
-    if (hooks.checkpointer == nullptr) return;
-    if (hooks.checkpointer->store().corrupt_newest(offset)) {
-      ++stats_.snapshots_corrupted;
+void FaultInjector::restore(core::RiptideAgent& agent, Checkpoint* checkpoint,
+                            const core::ObservedTable& crash_copy,
+                            bool reinstall_routes) {
+  const core::ObservedTable* table = &crash_copy;
+  std::uint64_t generation = 0;
+  if (checkpoint != nullptr) {
+    // Crashed before the first periodic copy: the agent comes up cold.
+    generation = checkpoint->stats.checkpoints_written;
+    table = generation > 0 ? &checkpoint->table : nullptr;
+  }
+  const bool restored = table != nullptr;
+  if (restored) {
+    agent.restore_table(*table, reinstall_routes);
+    if (checkpoint != nullptr) {
+      ++checkpoint->stats.restores;
+      checkpoint->stats.records_recovered += table->size();
     }
-  });
+  }
+  // Restore provenance, a cold-looking restart included: which copy fed
+  // the warm restart and whether routes were re-programmed.
+  if (auto* sink = trace::active()) {
+    trace::TraceEvent out;
+    out.at_ns = sim_.now().ns();
+    out.kind = trace::EventKind::kAgentRestore;
+    out.restore = {agent.host().address().value(),
+                   static_cast<std::uint8_t>(checkpoint != nullptr ? 1 : 0),
+                   static_cast<std::uint8_t>(restored && reinstall_routes),
+                   static_cast<std::uint32_t>(restored ? table->size() : 0),
+                   static_cast<std::uint32_t>(generation)};
+    sink->emit(out);
+  }
 }
 
 void FaultInjector::apply_route_drift(const FaultEvent& ev) {

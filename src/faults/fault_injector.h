@@ -5,9 +5,9 @@
 
 #include "cdn/topology.h"
 #include "core/agent.h"
+#include "core/observed_table.h"
 #include "faults/fault_plan.h"
 #include "faults/faulty.h"
-#include "persist/checkpointer.h"
 #include "sim/simulator.h"
 
 namespace riptide::faults {
@@ -21,10 +21,26 @@ struct FaultInjectorStats {
   std::uint64_t poll_windows = 0;      // poll-failure / partial windows
   std::uint64_t crashes_injected = 0;
   std::uint64_t restarts_scheduled = 0;
-  std::uint64_t routes_flushed = 0;       // reboot crashes: routes lost too
-  std::uint64_t snapshots_corrupted = 0;  // stored snapshots bit-flipped
-  std::uint64_t routes_dropped = 0;       // route-drift deletions
-  std::uint64_t routes_mangled = 0;       // route-drift in-place rewrites
+  std::uint64_t routes_flushed = 0;   // reboot crashes: routes lost too
+  std::uint64_t routes_dropped = 0;   // route-drift deletions
+  std::uint64_t routes_mangled = 0;   // route-drift in-place rewrites
+};
+
+// Per-agent checkpoint counters (FaultHarness::checkpoint_totals sums
+// them across agents).
+struct CheckpointStats {
+  std::uint64_t checkpoints_written = 0;  // periodic table copies taken
+  std::uint64_t restores = 0;             // warm restarts fed by a copy
+  std::uint64_t records_recovered = 0;    // table entries those restored
+};
+
+// A warm-restart checkpoint: an agent's learned table as of its newest
+// periodic copy. It lives outside the agent, so it outlives crash() as a
+// file outlives a process. `stats.checkpoints_written` doubles as the
+// generation of `table` (0 = no copy taken yet).
+struct Checkpoint {
+  core::ObservedTable table;
+  CheckpointStats stats;
 };
 
 // Turns a declarative FaultPlan into scheduled simulator events against a
@@ -45,10 +61,10 @@ class FaultInjector {
     core::RiptideAgent* agent = nullptr;
     FaultyRouteProgrammer* actuator = nullptr;
     FaultySocketStatsSource* stats_source = nullptr;
-    // Non-null when the agent persists state; warm restarts then restore
-    // from the snapshot store (exercising the real decode path) instead
-    // of from a perfect in-memory copy of the table.
-    persist::AgentCheckpointer* checkpointer = nullptr;
+    // Non-null when the agent is checkpointed periodically; warm restarts
+    // then restore the newest copy instead of the table as it was at the
+    // crash.
+    Checkpoint* checkpoint = nullptr;
   };
 
   FaultInjector(sim::Simulator& sim, cdn::Topology& topology, FaultPlan plan)
@@ -77,7 +93,8 @@ class FaultInjector {
   void apply_crash(const FaultEvent& ev);
   void crash_one(AgentHooks hooks, sim::Time downtime, bool warm,
                  bool flush_routes);
-  void apply_snapshot_corrupt(const FaultEvent& ev);
+  void restore(core::RiptideAgent& agent, Checkpoint* checkpoint,
+               const core::ObservedTable& crash_copy, bool reinstall_routes);
   void apply_route_drift(const FaultEvent& ev);
   // Dispatches an agent-targeted event to one hook or all of them.
   template <typename Fn>

@@ -1,8 +1,6 @@
 #include "faults/fault_plan.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -20,7 +18,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kPollFail: return "poll-fail";
     case FaultKind::kPollPartial: return "poll-partial";
     case FaultKind::kAgentCrash: return "agent-crash";
-    case FaultKind::kSnapshotCorrupt: return "snapshot-corrupt";
     case FaultKind::kRouteDrift: return "route-drift";
   }
   return "unknown";
@@ -115,14 +112,6 @@ FaultPlan& FaultPlan::agent_crash(sim::Time at, int host_index,
   return add(ev);
 }
 
-FaultPlan& FaultPlan::snapshot_corrupt(sim::Time at, int host_index,
-                                       std::size_t byte_offset) {
-  FaultEvent ev = event(at, FaultKind::kSnapshotCorrupt);
-  ev.host_index = host_index;
-  ev.value = static_cast<double>(byte_offset);
-  return add(ev);
-}
-
 FaultPlan& FaultPlan::route_drift(sim::Time at, int host_index,
                                   double delete_fraction,
                                   double mangle_fraction) {
@@ -189,29 +178,15 @@ void parse_link(const Token& token, std::size_t& a, std::size_t& b) {
   if (a == b) fail("bad link (identical endpoints)", token);
 }
 
-// Shortest decimal form that round-trips through parse_number, so the
-// canonical serializer below reproduces the exact double (and therefore
-// the exact sim::Time) on re-parse.
-std::string format_double(double value) {
-  char buf[64];
-  for (int precision : {6, 9, 15, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
-std::string format_seconds(sim::Time t) {
-  return format_double(t.to_seconds());
-}
-
 }  // namespace
 
 std::string to_spec_string(const FaultPlan& plan) {
+  using sim::shortest_decimal;
+  using sim::shortest_seconds;
   std::string out;
   for (const FaultEvent& ev : plan.events()) {
     if (!out.empty()) out += "; ";
-    out += "@" + format_seconds(ev.at) + " ";
+    out += "@" + shortest_seconds(ev.at) + " ";
     const std::string link = std::to_string(ev.pop_a) + "-" +
                              std::to_string(ev.pop_b);
     switch (ev.kind) {
@@ -222,49 +197,45 @@ std::string to_spec_string(const FaultPlan& plan) {
         out += "up " + link;
         break;
       case FaultKind::kLinkFlap:
-        out += "flap " + link + " " + format_seconds(ev.duration) + " " +
+        out += "flap " + link + " " + shortest_seconds(ev.duration) + " " +
                std::to_string(ev.count);
         break;
       case FaultKind::kLossBurst:
-        out += "loss " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "loss " + link + " " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kRateChange:
-        out += "rate " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "rate " + link + " " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kDelayChange:
-        out += "delay " + link + " " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "delay " + link + " " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kActuatorFail:
-        out += "actuator-fail " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "actuator-fail " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kPollFail:
-        out += "poll-fail " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "poll-fail " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kPollPartial:
-        out += "poll-partial " + format_double(ev.value) + " " +
-               format_seconds(ev.duration);
+        out += "poll-partial " + shortest_decimal(ev.value) + " " +
+               shortest_seconds(ev.duration);
         break;
       case FaultKind::kAgentCrash:
         out += "crash " + std::to_string(ev.host_index) + " " +
-               format_seconds(ev.duration) + " ";
+               shortest_seconds(ev.duration) + " ";
         if (ev.warm) {
           out += ev.flush_routes ? "reboot-warm" : "warm";
         } else {
           out += ev.flush_routes ? "reboot-cold" : "cold";
         }
         break;
-      case FaultKind::kSnapshotCorrupt:
-        out += "snap-corrupt " + std::to_string(ev.host_index) + " " +
-               std::to_string(static_cast<std::size_t>(ev.value));
-        break;
       case FaultKind::kRouteDrift:
         out += "route-drift " + std::to_string(ev.host_index) + " " +
-               format_double(ev.value) + " " + format_double(ev.value2);
+               shortest_decimal(ev.value) + " " + shortest_decimal(ev.value2);
         break;
     }
   }
@@ -396,18 +367,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       }
       plan.agent_crash(at, static_cast<int>(host), seconds(tok[3]), warm,
                        flush);
-    } else if (action.text == "snap-corrupt") {
-      want(2);
-      const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
-        fail("snap-corrupt host must be an index or -1 (all)", tok[2]);
-      }
-      const double offset = parse_number(tok[3]);
-      if (offset < 0 || offset != static_cast<std::size_t>(offset)) {
-        fail("snap-corrupt offset must be a nonnegative integer", tok[3]);
-      }
-      plan.snapshot_corrupt(at, static_cast<int>(host),
-                            static_cast<std::size_t>(offset));
     } else if (action.text == "route-drift") {
       want(3);
       const double host = parse_number(tok[2]);

@@ -22,7 +22,6 @@ enum class FaultKind {
   kPollFail,      // `ss` poll throws with probability `value`
   kPollPartial,   // each snapshot entry dropped with probability `value`
   kAgentCrash,    // crash agent(s), restart after `duration` (warm or cold)
-  kSnapshotCorrupt,  // flip one bit of the newest persisted snapshot
   kRouteDrift,    // externally delete/mangle learned routes in place
 };
 
@@ -31,15 +30,13 @@ const char* to_string(FaultKind kind);
 // One deterministic, sim-time-scheduled fault event. Field use by kind:
 //   pop_a/pop_b  link events: the WAN pair (both directions)
 //   value        loss/fail probability, partial drop fraction, rate
-//                factor, extra delay in ms, snapshot-corrupt byte offset,
-//                or route-drift delete fraction
+//                factor, extra delay in ms, or route-drift delete fraction
 //   value2       route-drift only: fraction of learned routes mangled
 //   duration     burst/degradation length, flap period, or crash downtime
 //   count        flap transitions (down is first; even count ends up)
 //   host_index   agent-target index into registration order; -1 = all
-//                (crash, snapshot-corrupt, route-drift)
-//   warm         crash only: restore the persisted/memory snapshot on
-//                restart
+//                (crash, route-drift)
+//   warm         crash only: restore the checkpointed table on restart
 //   flush_routes crash only: the host rebooted, so learned routes are
 //                flushed from the routing table at crash time
 struct FaultEvent {
@@ -70,7 +67,6 @@ bool operator==(const FaultEvent& a, const FaultEvent& b);
 //            | 'actuator-fail' P DUR_S
 //            | 'poll-fail' P DUR_S | 'poll-partial' FRAC DUR_S
 //            | 'crash' HOST DOWNTIME_S MODE
-//            | 'snap-corrupt' HOST BYTE_OFFSET
 //            | 'route-drift' HOST DEL_FRAC MANGLE_FRAC
 //   MODE    := 'warm' | 'cold' | 'reboot-warm' | 'reboot-cold'
 //   LINK    := POP '-' POP        (PoP indices, e.g. 0-1)
@@ -108,8 +104,6 @@ class FaultPlan {
                           sim::Time duration);
   FaultPlan& agent_crash(sim::Time at, int host_index, sim::Time downtime,
                          bool warm, bool flush_routes = false);
-  FaultPlan& snapshot_corrupt(sim::Time at, int host_index,
-                              std::size_t byte_offset);
   FaultPlan& route_drift(sim::Time at, int host_index, double delete_fraction,
                          double mangle_fraction);
 

@@ -64,26 +64,28 @@ FaultHarness::FaultHarness(cdn::Experiment& experiment, FaultPlan plan) {
   injector_ = std::make_unique<FaultInjector>(experiment.simulator(),
                                               experiment.topology(),
                                               std::move(plan));
-  const core::RiptideConfig& riptide = experiment.config().riptide;
-  const bool persist_state = riptide.checkpoint_interval > sim::Time::zero();
+  const sim::Time interval = experiment.config().riptide.checkpoint_interval;
+  const bool checkpointed = interval > sim::Time::zero();
   for (const auto& agent : experiment.agents()) {
     FaultInjector::AgentHooks hooks;
     hooks.agent = agent.get();
     hooks.actuator = dynamic_cast<FaultyRouteProgrammer*>(&agent->programmer());
     hooks.stats_source =
         dynamic_cast<FaultySocketStatsSource*>(&agent->stats_source());
-    if (persist_state) {
-      // The harness plays the role of durable storage: stores live here,
-      // outside the agent, so they survive agent crash()/start() cycles
-      // exactly as files on disk survive a process.
-      // Two generations, so a corrupted newest snapshot still leaves a
-      // fallback.
-      stores_.push_back(std::make_unique<persist::MemorySnapshotStore>(2));
-      checkpointers_.push_back(std::make_unique<persist::AgentCheckpointer>(
-          experiment.simulator(), *agent, *stores_.back(),
-          persist::CheckpointerConfig{riptide.checkpoint_interval}));
-      checkpointers_.back()->start();
-      hooks.checkpointer = checkpointers_.back().get();
+    if (checkpointed) {
+      // The harness plays the role of durable storage: the copy lives
+      // here, outside the agent, so it survives agent crash()/start()
+      // cycles. A crashed agent has no table worth copying, so ticks
+      // while it is down are skipped: the last good copy stays.
+      checkpoints_.push_back(std::make_unique<Checkpoint>());
+      Checkpoint* checkpoint = checkpoints_.back().get();
+      experiment.simulator().schedule_periodic(
+          interval, interval, [checkpoint, agent = agent.get()] {
+            if (!agent->running()) return;
+            checkpoint->table = agent->table();
+            ++checkpoint->stats.checkpoints_written;
+          });
+      hooks.checkpoint = checkpoint;
     }
     injector_->register_agent(hooks);
   }
@@ -102,17 +104,13 @@ FaultyActuatorStats FaultHarness::actuator_totals() const {
   return total;
 }
 
-persist::CheckpointerStats FaultHarness::checkpointer_totals() const {
-  persist::CheckpointerStats total;
-  for (const auto& checkpointer : checkpointers_) {
-    const persist::CheckpointerStats& s = checkpointer->stats();
+CheckpointStats FaultHarness::checkpoint_totals() const {
+  CheckpointStats total;
+  for (const auto& checkpoint : checkpoints_) {
+    const CheckpointStats& s = checkpoint->stats;
     total.checkpoints_written += s.checkpoints_written;
-    total.bytes_written += s.bytes_written;
     total.restores += s.restores;
-    total.snapshots_rejected += s.snapshots_rejected;
     total.records_recovered += s.records_recovered;
-    total.records_discarded += s.records_discarded;
-    total.truncated_tails += s.truncated_tails;
   }
   return total;
 }

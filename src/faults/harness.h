@@ -7,8 +7,6 @@
 #include "faults/fault_injector.h"
 #include "faults/fault_plan.h"
 #include "faults/faulty.h"
-#include "persist/checkpointer.h"
-#include "persist/snapshot_store.h"
 
 namespace riptide::faults {
 
@@ -19,7 +17,8 @@ namespace riptide::faults {
 // deterministic per host and independent of the workload), and the first
 // extension factory builds the harness itself — which discovers the
 // decorators on the constructed agents, registers them with a
-// FaultInjector, and arms the plan.
+// FaultInjector, keeps each agent's warm-restart checkpoint when
+// config.riptide.checkpoint_interval is set, and arms the plan.
 //
 //   cdn::ExperimentConfig config = ...;
 //   faults::FaultHarness::install(config, faults::FaultPlan::parse(spec));
@@ -50,9 +49,9 @@ class FaultHarness {
   // Decorator counters aggregated across every agent.
   FaultyActuatorStats actuator_totals() const;
   FaultyPollStats poll_totals() const;
-  // Checkpointer counters aggregated across every agent (all zero when
-  // config.riptide.checkpoint_interval was 0 and none were attached).
-  persist::CheckpointerStats checkpointer_totals() const;
+  // Checkpoint counters aggregated across every agent (all zero when
+  // config.riptide.checkpoint_interval was 0 and none were kept).
+  CheckpointStats checkpoint_totals() const;
 
  private:
   // The extension factory install() plants. A named type, so from() can
@@ -62,10 +61,9 @@ class FaultHarness {
   FaultHarness(cdn::Experiment& experiment, FaultPlan plan);
 
   // When the experiment's RiptideConfig asks for checkpointing, the
-  // harness owns one in-memory store + checkpointer per agent (in agent
-  // order) and hands raw pointers to the injector's hooks.
-  std::vector<std::unique_ptr<persist::MemorySnapshotStore>> stores_;
-  std::vector<std::unique_ptr<persist::AgentCheckpointer>> checkpointers_;
+  // harness owns one checkpoint per agent (in agent order) and hands raw
+  // pointers to the injector's hooks.
+  std::vector<std::unique_ptr<Checkpoint>> checkpoints_;
   std::unique_ptr<FaultInjector> injector_;
 };
 

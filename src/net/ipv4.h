@@ -68,9 +68,9 @@ class Prefix {
 
 // Explicit total order for containers keyed by Prefix: numeric address
 // first, then mask length. Spelled out (rather than relying on the
-// defaulted comparison's member order) because persisted snapshots and
-// route-programming sequences iterate maps in this order — it is part of
-// the on-disk byte contract, not an implementation detail.
+// defaulted comparison's member order) because route-programming
+// sequences iterate maps in this order — it feeds the determinism
+// fingerprints, so it is a contract, not an implementation detail.
 struct PrefixOrder {
   bool operator()(const Prefix& a, const Prefix& b) const {
     if (a.address().value() != b.address().value()) {

@@ -7,7 +7,8 @@
 namespace riptide::persist {
 
 // IEEE 802.3 CRC-32 (reflected, polynomial 0xEDB88320) — the checksum
-// zlib's crc32() computes, so snapshots written here verify with stock
+// zlib's crc32() computes, so the run fingerprints built on it (the golden
+// CRC, chaos and perfbench fingerprints) can be recomputed with stock
 // tooling. crc32("123456789") == 0xCBF43926.
 //
 // `seed` chains incremental computations: crc32(b, crc32(a)) ==

@@ -3,6 +3,7 @@
 #include <compare>
 #include <cstdint>
 #include <ostream>
+#include <string>
 
 namespace riptide::sim {
 
@@ -61,5 +62,14 @@ class Time {
   constexpr explicit Time(std::int64_t ns) : ns_(ns) {}
   std::int64_t ns_ = 0;
 };
+
+// The shortest of "%.6g", "%.9g", "%.15g" and "%.17g" that strtod reads
+// back as exactly `value`. The canonical spec serializers (fault plans,
+// hostile scenarios, chaos specs) print their numbers with it, so a
+// re-parse reproduces the exact double, and with it the exact Time.
+std::string shortest_decimal(double value);
+inline std::string shortest_seconds(Time t) {
+  return shortest_decimal(t.to_seconds());
+}
 
 }  // namespace riptide::sim

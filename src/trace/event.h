@@ -22,7 +22,7 @@ namespace riptide::trace {
 //   agent-route     route lifecycle outside the program pass: TTL expiry,
 //                   staleness decay/withdrawal, reconciliation repairs,
 //                   orphan withdrawals, adoption
-//   agent-restore   warm-restart provenance (in-memory table vs persisted
+//   agent-restore   warm-restart provenance (crash-time copy vs periodic
 //                   checkpoint generation)
 //   agent-rollback  governor emergency rollback swept the table
 //   governor-state  the safety governor's state machine moved (normal,
@@ -160,11 +160,10 @@ struct AgentRouteEvent {
 
 struct AgentRestoreEvent {
   std::uint32_t host;
-  std::uint8_t from_checkpoint;  // 1 = persisted snapshot store, 0 = memory
+  std::uint8_t from_checkpoint;  // 1 = periodic checkpoint, 0 = crash-time copy
   std::uint8_t reinstalled;      // routes re-programmed immediately
   std::uint32_t records;         // destinations recovered
-  std::uint32_t generation;      // snapshot generation used (checkpoint only)
-  std::uint32_t rejected;        // records dropped by CRC/validation
+  std::uint32_t generation;      // checkpoint copy used (0 = none yet)
 };
 
 struct AgentRollbackEvent {

@@ -192,11 +192,10 @@ std::string to_json(const TraceEvent& e) {
     case EventKind::kAgentRestore:
       append(out,
              ",\"host\":\"%s\",\"source\":\"%s\",\"reinstalled\":%u,"
-             "\"records\":%u,\"generation\":%u,\"rejected\":%u",
+             "\"records\":%u,\"generation\":%u",
              format_host(e.restore.host).c_str(),
              e.restore.from_checkpoint ? "checkpoint" : "memory",
-             e.restore.reinstalled, e.restore.records, e.restore.generation,
-             e.restore.rejected);
+             e.restore.reinstalled, e.restore.records, e.restore.generation);
       break;
     case EventKind::kAgentRollback:
       append(out, ",\"host\":\"%s\",\"routes\":%u",

@@ -232,16 +232,15 @@ TEST(AgentPinTest, ProportionalBudgetAndLegacyRollbackStorm) {
 }
 
 TEST(AgentPinTest, ActuatorRetryPollFailureAndCrashRestore) {
-  // Actuator retries and dead letters, failed polls, warm crash with a
-  // corrupted snapshot, and a cold reboot.
+  // Actuator retries and dead letters, failed polls, warm crash restored
+  // from a checkpoint, and a cold reboot.
   const std::uint32_t crc = agent_pin(
       "pops=4\nhosts=2\nduration=60\nseed=5\nwan_loss=0.001\n"
       "policy=adaptive\nhostile=none\n"
       "faults=@5 actuator-fail 0.5 30; @8 poll-fail 0.3 10; "
-      "@20 crash -1 5 warm; @22 snap-corrupt -1 13; "
-      "@40 crash 0 5 reboot-cold\n",
+      "@20 crash -1 5 warm; @40 crash 0 5 reboot-cold\n",
       [](ExperimentConfig&) {});
-  EXPECT_EQ(crc, 0x86CBF78Cu) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0x284D70BAu) << std::hex << "0x" << crc;
 }
 
 TEST(AgentPinTest, StalenessGuardAndTtlExpiry) {

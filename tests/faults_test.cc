@@ -754,8 +754,8 @@ TEST(FaultHarnessTest, CrashPlanRestartsAgentsInsideExperiment) {
 TEST(FaultPlanTest, ParsesDurableStateEvents) {
   const auto plan = FaultPlan::parse(
       "@10 crash -1 5 reboot-warm; @11 crash 0 5 reboot-cold; "
-      "@12 snap-corrupt -1 13; @13 route-drift 0 0.5 0.25");
-  ASSERT_EQ(plan.size(), 4u);
+      "@13 route-drift 0 0.5 0.25");
+  ASSERT_EQ(plan.size(), 3u);
   const auto& warm = plan.events()[0];
   EXPECT_EQ(warm.kind, FaultKind::kAgentCrash);
   EXPECT_TRUE(warm.warm);
@@ -764,11 +764,7 @@ TEST(FaultPlanTest, ParsesDurableStateEvents) {
   EXPECT_FALSE(cold.warm);
   EXPECT_TRUE(cold.flush_routes);
   EXPECT_EQ(cold.host_index, 0);
-  const auto& corrupt = plan.events()[2];
-  EXPECT_EQ(corrupt.kind, FaultKind::kSnapshotCorrupt);
-  EXPECT_EQ(corrupt.host_index, -1);
-  EXPECT_DOUBLE_EQ(corrupt.value, 13.0);
-  const auto& drift = plan.events()[3];
+  const auto& drift = plan.events()[2];
   EXPECT_EQ(drift.kind, FaultKind::kRouteDrift);
   EXPECT_DOUBLE_EQ(drift.value, 0.5);
   EXPECT_DOUBLE_EQ(drift.value2, 0.25);
@@ -776,8 +772,8 @@ TEST(FaultPlanTest, ParsesDurableStateEvents) {
 
 TEST(FaultPlanTest, RejectsMalformedDurableStateSpecs) {
   EXPECT_THROW(FaultPlan::parse("@5 crash -1 5 tepid"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("@5 snap-corrupt -1"), std::invalid_argument);
-  EXPECT_THROW(FaultPlan::parse("@5 snap-corrupt -1 -3"),
+  // A checkpoint is an in-memory table copy: no action corrupts it.
+  EXPECT_THROW(FaultPlan::parse("@5 snap-corrupt -1 13"),
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("@5 route-drift -1 0.5"),
                std::invalid_argument);
@@ -810,10 +806,10 @@ TEST(FaultHarnessTest, RebootWarmRestoresRoutesFromCheckpoints) {
   auto* harness = faults::FaultHarness::from(experiment);
   ASSERT_NE(harness, nullptr);
   EXPECT_GT(harness->injector().stats().routes_flushed, 0u);
-  const auto persist = harness->checkpointer_totals();
-  EXPECT_GT(persist.checkpoints_written, 0u);
-  EXPECT_EQ(persist.restores, experiment.agents().size());
-  EXPECT_GT(persist.records_recovered, 0u);
+  const auto checkpoints = harness->checkpoint_totals();
+  EXPECT_GT(checkpoints.checkpoints_written, 0u);
+  EXPECT_EQ(checkpoints.restores, experiment.agents().size());
+  EXPECT_GT(checkpoints.records_recovered, 0u);
   for (const auto& agent : experiment.agents()) {
     EXPECT_TRUE(agent->running());
     EXPECT_EQ(agent->stats().crashes, 1u);
@@ -822,7 +818,7 @@ TEST(FaultHarnessTest, RebootWarmRestoresRoutesFromCheckpoints) {
   }
 }
 
-// Reboot-cold inside the same world: no checkpointer, so the flush leaves
+// Reboot-cold inside the same world: no checkpoint, so the flush leaves
 // the restarted agent to re-learn from scratch (adoption finds nothing).
 TEST(FaultHarnessTest, RebootColdRelearnsWithoutAdoption) {
   auto config = harness_world(5);
@@ -834,34 +830,53 @@ TEST(FaultHarnessTest, RebootColdRelearnsWithoutAdoption) {
 
   auto* harness = faults::FaultHarness::from(experiment);
   EXPECT_GT(harness->injector().stats().routes_flushed, 0u);
-  EXPECT_EQ(harness->checkpointer_totals().checkpoints_written, 0u);
+  EXPECT_EQ(harness->checkpoint_totals().checkpoints_written, 0u);
   for (const auto& agent : experiment.agents()) {
     EXPECT_TRUE(agent->running());
     EXPECT_EQ(agent->stats().routes_adopted, 0u);  // flush left nothing
   }
 }
 
-// Corrupting the newest snapshot before a reboot-warm restart must fall
-// back to the previous generation — never crash, hang, or restore wrong
-// bytes.
-TEST(FaultHarnessTest, SnapshotCorruptionFallsBackToOlderGeneration) {
+// The periodic copy skips its ticks while the agent is down rather than
+// copying an empty table over the last good one: with a 2 s interval, a
+// reboot from 21 s to 31 s leaves ticks 2..20 and 32..40 to each agent.
+TEST(FaultHarnessTest, CheckpointTicksAreSkippedWhileTheAgentIsDown) {
   auto config = harness_world(5);
   config.duration = Time::seconds(40);
   config.riptide.checkpoint_interval = Time::seconds(2);
   faults::FaultHarness::install(
-      config,
-      FaultPlan::parse("@19 snap-corrupt -1 13; @20 crash -1 5 reboot-warm"));
+      config, FaultPlan::parse("@21 crash -1 10 reboot-warm"));
   cdn::Experiment experiment(config);
   experiment.run();
 
   auto* harness = faults::FaultHarness::from(experiment);
-  EXPECT_EQ(harness->injector().stats().snapshots_corrupted,
-            experiment.agents().size());
-  const auto persist = harness->checkpointer_totals();
-  EXPECT_EQ(persist.snapshots_rejected, experiment.agents().size());
-  EXPECT_EQ(persist.restores, experiment.agents().size());
+  const auto agents = experiment.agents().size();
+  const auto checkpoints = harness->checkpoint_totals();
+  EXPECT_EQ(checkpoints.checkpoints_written, 15u * agents);
+  EXPECT_EQ(checkpoints.restores, agents);
+  EXPECT_GT(checkpoints.records_recovered, 0u);
+}
+
+// A warm reboot before the first periodic copy has nothing to restore:
+// the agents come up cold, with no routes reprogrammed at restart.
+TEST(FaultHarnessTest, WarmRebootBeforeTheFirstCheckpointComesUpCold) {
+  auto config = harness_world(5);
+  // The run ends at the restart, before the restarted agents' first poll.
+  config.duration = Time::seconds(6);
+  config.riptide.checkpoint_interval = Time::seconds(10);
+  faults::FaultHarness::install(config,
+                                FaultPlan::parse("@5 crash -1 1 reboot-warm"));
+  cdn::Experiment experiment(config);
+  experiment.run();
+
+  auto* harness = faults::FaultHarness::from(experiment);
+  EXPECT_GT(harness->injector().stats().routes_flushed, 0u);
+  EXPECT_EQ(harness->checkpoint_totals().checkpoints_written, 0u);
+  EXPECT_EQ(harness->checkpoint_totals().restores, 0u);
   for (const auto& agent : experiment.agents()) {
     EXPECT_TRUE(agent->running());
+    EXPECT_EQ(agent->table().size(), 0u);
+    EXPECT_TRUE(agent->host().routing_table().learned_routes().empty());
   }
 }
 

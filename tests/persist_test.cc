@@ -1,37 +1,14 @@
-// Persistence layer: CRC32 vectors, snapshot codec round-trips and
-// corruption recovery (every single-bit flip and every truncation point),
-// version skew, snapshot stores (memory + file-backed rotation/atomicity),
-// and the agent checkpointer's checkpoint/restore cycle.
+// CRC-32 vectors: the checksum every run fingerprint (the golden CRC, the
+// agent pins, chaos and perfbench fingerprints) is built on.
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include "core/agent.h"
-#include "core/observed_table.h"
-#include "net/ipv4.h"
-#include "persist/checkpointer.h"
 #include "persist/crc32.h"
-#include "persist/snapshot.h"
-#include "persist/snapshot_store.h"
-#include "sim/random.h"
-#include "sim/time.h"
-#include "test_util.h"
 
 namespace riptide {
 namespace {
-
-using persist::decode_snapshot;
-using persist::encode_snapshot;
-using persist::SnapshotCounters;
-using sim::Time;
-using test::TwoHostNet;
-
-// ------------------------------------------------------------------ CRC32
 
 TEST(Crc32Test, MatchesKnownVectors) {
   // The IEEE 802.3 check value every zlib-compatible CRC32 must produce.
@@ -46,480 +23,6 @@ TEST(Crc32Test, SeedChainsIncrementalComputation) {
   const auto chained =
       persist::crc32(text.substr(4), persist::crc32(text.substr(0, 4)));
   EXPECT_EQ(whole, chained);
-}
-
-// --------------------------------------------------------- snapshot codec
-
-core::ObservedTable sample_table() {
-  core::ObservedTable table;
-  table.put(net::Prefix::host(net::Ipv4Address(10, 0, 0, 2)),
-            {42.5, Time::seconds(3), 7});
-  table.put(net::Prefix::host(net::Ipv4Address(10, 0, 1, 9)),
-            {10.0, Time::seconds(1), 1});
-  table.put(net::Prefix(net::Ipv4Address(192, 168, 0, 0), 16),
-            {33.25, Time::seconds(9), 120});
-  return table;
-}
-
-SnapshotCounters sample_counters() {
-  return SnapshotCounters{101, 2002, 303, 44, 5};
-}
-
-TEST(SnapshotTest, EmptyTableRoundTrips) {
-  const auto bytes = encode_snapshot({}, {}, /*sequence=*/1);
-  const auto decoded = decode_snapshot(bytes);
-  ASSERT_TRUE(decoded.valid);
-  EXPECT_EQ(decoded.table.size(), 0u);
-  EXPECT_EQ(decoded.counters, SnapshotCounters{});
-  EXPECT_EQ(decoded.sequence, 1u);
-  EXPECT_EQ(decoded.stats.records_ok, 0u);
-  EXPECT_FALSE(decoded.stats.truncated_tail);
-}
-
-TEST(SnapshotTest, RoundTripPreservesEverything) {
-  const auto table = sample_table();
-  const auto counters = sample_counters();
-  const auto bytes = encode_snapshot(table, counters, /*sequence=*/77);
-  const auto decoded = decode_snapshot(bytes);
-  ASSERT_TRUE(decoded.valid);
-  EXPECT_EQ(decoded.table, table);
-  EXPECT_EQ(decoded.counters, counters);
-  EXPECT_EQ(decoded.sequence, 77u);
-  EXPECT_EQ(decoded.stats.version, persist::kSnapshotVersion);
-  EXPECT_EQ(decoded.stats.records_ok, table.size());
-  EXPECT_EQ(decoded.stats.records_corrupt, 0u);
-}
-
-TEST(SnapshotTest, EncodingIsByteStableAcrossInsertionOrder) {
-  // The on-disk bytes are a pure function of the table's contents because
-  // ObservedTable iterates in PrefixOrder regardless of insertion order.
-  core::ObservedTable forward, reverse;
-  const std::vector<std::pair<net::Prefix, core::DestinationState>> entries = {
-      {net::Prefix::host(net::Ipv4Address(1, 2, 3, 4)),
-       {11.0, Time::seconds(1), 2}},
-      {net::Prefix::host(net::Ipv4Address(9, 9, 9, 9)),
-       {22.0, Time::seconds(2), 3}},
-      {net::Prefix(net::Ipv4Address(172, 16, 0, 0), 12),
-       {33.0, Time::seconds(3), 4}},
-  };
-  for (const auto& [prefix, state] : entries) forward.put(prefix, state);
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    reverse.put(it->first, it->second);
-  }
-  EXPECT_EQ(encode_snapshot(forward, {}, 5), encode_snapshot(reverse, {}, 5));
-}
-
-TEST(SnapshotTest, V1SnapshotDecodesWithZeroCounters) {
-  const auto table = sample_table();
-  const auto bytes = encode_snapshot(table, sample_counters(), /*sequence=*/3,
-                                     persist::kSnapshotVersionV1);
-  const auto decoded = decode_snapshot(bytes);
-  ASSERT_TRUE(decoded.valid);
-  EXPECT_EQ(decoded.stats.version, persist::kSnapshotVersionV1);
-  // v1 predates the counter block and per-record update counts.
-  EXPECT_EQ(decoded.counters, SnapshotCounters{});
-  ASSERT_EQ(decoded.table.size(), table.size());
-  for (const auto& [prefix, state] : table.entries()) {
-    const auto* got = decoded.table.find(prefix);
-    ASSERT_NE(got, nullptr);
-    EXPECT_DOUBLE_EQ(got->final_window_segments, state.final_window_segments);
-    EXPECT_EQ(got->last_updated, state.last_updated);
-    EXPECT_EQ(got->updates, 0u);
-  }
-}
-
-TEST(SnapshotTest, EncodeRejectsUnsupportedVersion) {
-  EXPECT_THROW(encode_snapshot({}, {}, 1, /*version=*/3),
-               std::invalid_argument);
-}
-
-TEST(SnapshotTest, DecodeRejectsUnknownVersionWithValidCrc) {
-  // Patch the version field and re-seal the header CRC so the rejection
-  // exercises the version check, not the checksum.
-  std::string bytes = encode_snapshot(sample_table(), {}, 1);
-  bytes[4] = 9;
-  const auto crc = persist::crc32(bytes.data(), 20);
-  for (int i = 0; i < 4; ++i) {
-    bytes[20 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-  }
-  EXPECT_FALSE(decode_snapshot(bytes).valid);
-}
-
-TEST(SnapshotTest, GarbageInputsAreRejectedNotFatal) {
-  EXPECT_FALSE(decode_snapshot("").valid);
-  EXPECT_FALSE(decode_snapshot("RSNP").valid);
-  EXPECT_FALSE(decode_snapshot(std::string(1000, '\xFF')).valid);
-  EXPECT_FALSE(decode_snapshot(std::string(1000, '\0')).valid);
-}
-
-// Every accepted record must be one the encoder wrote: decode may drop
-// damaged data but must never invent or alter it.
-void expect_no_invented_records(const core::ObservedTable& original,
-                                const persist::DecodeResult& decoded) {
-  for (const auto& [prefix, state] : decoded.table.entries()) {
-    const auto* want = original.find(prefix);
-    ASSERT_NE(want, nullptr) << "decoded a prefix never encoded: "
-                             << prefix.to_string();
-    EXPECT_EQ(state, *want);
-  }
-}
-
-TEST(SnapshotTest, EverySingleBitFlipRecoversOrRejectsCleanly) {
-  const auto table = sample_table();
-  const auto counters = sample_counters();
-  const auto clean = encode_snapshot(table, counters, /*sequence=*/11);
-  for (std::size_t byte = 0; byte < clean.size(); ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string damaged = clean;
-      damaged[byte] = static_cast<char>(damaged[byte] ^ (1 << bit));
-      const auto decoded = decode_snapshot(damaged);
-      if (!decoded.valid) continue;  // header damage: clean rejection
-      expect_no_invented_records(table, decoded);
-      // A flipped record is counted, never silently absorbed; a flipped
-      // counter block decodes as zeros with the damage flagged.
-      EXPECT_EQ(decoded.stats.records_ok + decoded.stats.records_corrupt,
-                table.size())
-          << "byte " << byte << " bit " << bit;
-      if (decoded.stats.counters_corrupt) {
-        EXPECT_EQ(decoded.counters, SnapshotCounters{});
-      } else {
-        EXPECT_EQ(decoded.counters, counters);
-      }
-    }
-  }
-}
-
-TEST(SnapshotTest, OneCorruptRecordDoesNotDesyncItsNeighbors) {
-  const auto table = sample_table();
-  const auto bytes = encode_snapshot(table, {}, 1);
-  // Smash the middle record's window field entirely (24B header + 44B
-  // counter block + one 33B record puts the second record at offset 101).
-  std::string damaged = bytes;
-  for (std::size_t i = 0; i < 8; ++i) damaged[101 + 5 + i] = '\x5A';
-  const auto decoded = decode_snapshot(damaged);
-  ASSERT_TRUE(decoded.valid);
-  EXPECT_EQ(decoded.stats.records_corrupt, 1u);
-  EXPECT_EQ(decoded.stats.records_ok, table.size() - 1);
-  expect_no_invented_records(table, decoded);
-}
-
-TEST(SnapshotTest, TruncationAtEveryLengthKeepsTheValidPrefix) {
-  const auto table = sample_table();
-  const auto counters = sample_counters();
-  const auto clean = encode_snapshot(table, counters, /*sequence=*/2);
-  for (std::size_t len = 0; len < clean.size(); ++len) {
-    const auto decoded = decode_snapshot(clean.substr(0, len));
-    if (!decoded.valid) continue;  // cut inside the header
-    expect_no_invented_records(table, decoded);
-    // Anything short of the full image loses records or tears the tail.
-    EXPECT_TRUE(decoded.stats.records_ok < table.size() ||
-                decoded.stats.truncated_tail ||
-                decoded.stats.counters_corrupt)
-        << "length " << len;
-  }
-  // One concrete spot check: cutting mid-way through the last record
-  // keeps the first two and flags the tear.
-  const auto torn = decode_snapshot(clean.substr(0, clean.size() - 10));
-  ASSERT_TRUE(torn.valid);
-  EXPECT_EQ(torn.stats.records_ok, table.size() - 1);
-  EXPECT_TRUE(torn.stats.truncated_tail);
-}
-
-TEST(SnapshotTest, RandomizedTablesRoundTripExactly) {
-  sim::Rng rng(2024);
-  for (int iteration = 0; iteration < 50; ++iteration) {
-    core::ObservedTable table;
-    const int entries = static_cast<int>(rng.uniform_int(0, 40));
-    for (int i = 0; i < entries; ++i) {
-      const auto addr = net::Ipv4Address(
-          static_cast<std::uint32_t>(rng.uniform_int(1, 0x7FFFFFFF)));
-      const int length = static_cast<int>(rng.uniform_int(8, 32));
-      table.put(net::Prefix(addr, length),
-                {rng.uniform(1.0, 500.0),
-                 Time::nanoseconds(rng.uniform_int(0, 1'000'000'000'000)),
-                 static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 20))});
-    }
-    SnapshotCounters counters{
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)),
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)),
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)),
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30)),
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30))};
-    const auto sequence =
-        static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
-    const auto decoded =
-        decode_snapshot(encode_snapshot(table, counters, sequence));
-    ASSERT_TRUE(decoded.valid);
-    EXPECT_EQ(decoded.table, table);
-    EXPECT_EQ(decoded.counters, counters);
-    EXPECT_EQ(decoded.sequence, sequence);
-  }
-}
-
-#ifdef RIPTIDE_CORPUS_DIR
-TEST(SnapshotTest, FuzzCorpusDecodesWithoutIncident) {
-  // The committed fuzz seeds double as a regression corpus: every file
-  // must decode (possibly to a rejection) without crashing or throwing.
-  const std::filesystem::path dir =
-      std::filesystem::path(RIPTIDE_CORPUS_DIR) / "snapshot";
-  ASSERT_TRUE(std::filesystem::exists(dir)) << dir;
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    (void)decode_snapshot(bytes);
-    ++files;
-  }
-  EXPECT_GT(files, 0u);
-}
-#endif
-
-// --------------------------------------------------------- snapshot store
-
-TEST(MemorySnapshotStoreTest, KeepsOnlyTheNewest) {
-  persist::MemorySnapshotStore store(/*keep=*/2);
-  store.save("one");
-  store.save("two");
-  store.save("three");
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0], "three");
-  EXPECT_EQ(loaded[1], "two");
-  EXPECT_EQ(store.saves(), 3u);
-}
-
-TEST(MemorySnapshotStoreTest, CorruptNewestFlipsExactlyOneBit) {
-  persist::MemorySnapshotStore store;
-  EXPECT_FALSE(store.corrupt_newest(0));  // nothing stored yet
-  store.save(std::string(8, '\0'));
-  ASSERT_TRUE(store.corrupt_newest(13));  // byte 13 % 8 = 5, bit 13 % 8 = 5
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0][5], 0x20);
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (i != 5) {
-      EXPECT_EQ(loaded[0][i], '\0');
-    }
-  }
-}
-
-std::filesystem::path fresh_dir(const std::string& name) {
-  const auto dir = std::filesystem::path(testing::TempDir()) /
-                   ("riptide_persist_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(FileSnapshotStoreTest, SavesRotateAndLoadNewestFirst) {
-  const auto dir = fresh_dir("rotate");
-  persist::FileSnapshotStore store(dir, "test.snap", /*keep=*/2);
-  store.save("gen1");
-  store.save("gen2");
-  store.save("gen3");
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0], "gen3");
-  EXPECT_EQ(loaded[1], "gen2");
-  // Rotation actually pruned the oldest file, not just the listing.
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    EXPECT_EQ(entry.path().filename().string().rfind("test.snap.", 0), 0u);
-  }
-  EXPECT_EQ(files, 2u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FileSnapshotStoreTest, ReopenedStoreResumesTheSequence) {
-  const auto dir = fresh_dir("reopen");
-  {
-    persist::FileSnapshotStore store(dir, "test.snap", 2);
-    store.save("old-a");
-    store.save("old-b");
-  }
-  persist::FileSnapshotStore store(dir, "test.snap", 2);
-  store.save("new");  // must not collide with (or sort below) old-b
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0], "new");
-  EXPECT_EQ(loaded[1], "old-b");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FileSnapshotStoreTest, StrayTempFilesAreInvisibleAndSweptAway) {
-  const auto dir = fresh_dir("tmp");
-  persist::FileSnapshotStore store(dir, "test.snap", 2);
-  store.save("good");
-  {
-    // A torn write from a dead process generation.
-    std::ofstream torn(dir / "test.snap.99.tmp", std::ios::binary);
-    torn << "part";
-  }
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded[0], "good");
-  store.save("next");  // save sweeps orphaned temp files
-  EXPECT_FALSE(std::filesystem::exists(dir / "test.snap.99.tmp"));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(FileSnapshotStoreTest, CorruptNewestDamagesOnlyTheNewestFile) {
-  const auto dir = fresh_dir("corrupt");
-  persist::FileSnapshotStore store(dir, "test.snap", 2);
-  store.save(std::string(4, '\0'));
-  store.save(std::string(4, '\0'));
-  ASSERT_TRUE(store.corrupt_newest(0));
-  const auto loaded = store.load_newest_first();
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded[0][0], 0x01);
-  EXPECT_EQ(loaded[1], std::string(4, '\0'));
-  std::filesystem::remove_all(dir);
-}
-
-// ----------------------------------------------------------- checkpointer
-
-core::RiptideConfig checkpoint_agent_config() {
-  core::RiptideConfig config;
-  config.alpha = 0.0;
-  config.c_max = 100;
-  config.c_min = 10;
-  return config;
-}
-
-// Establishes a data-carrying connection a -> b and grows a's cwnd.
-void push_data(TwoHostNet& net, std::uint64_t bytes) {
-  net.b.listen(9900, [](tcp::TcpConnection& conn) {
-    tcp::TcpConnection::Callbacks cbs;
-    conn.set_callbacks(std::move(cbs));
-  });
-  tcp::TcpConnection::Callbacks cbs;
-  auto& conn = net.a.connect(net.b.address(), 9900, std::move(cbs));
-  net.sim.run_until(net.sim.now() + Time::milliseconds(100));
-  conn.send(bytes);
-  net.sim.run_until(net.sim.now() + Time::seconds(5));
-}
-
-TEST(AgentCheckpointerTest, PeriodicTimerSkipsCrashedAgent) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store,
-                                          {Time::seconds(1)});
-  agent.start();
-  checkpointer.start();
-  net.sim.run_until(Time::seconds(3) + Time::milliseconds(1));
-  EXPECT_EQ(checkpointer.stats().checkpoints_written, 3u);
-  agent.crash();
-  net.sim.run_until(Time::seconds(6) + Time::milliseconds(1));
-  EXPECT_EQ(checkpointer.stats().checkpoints_written, 3u);  // ticks skipped
-  agent.start();
-  net.sim.run_until(Time::seconds(8) + Time::milliseconds(1));
-  EXPECT_GT(checkpointer.stats().checkpoints_written, 3u);  // and resumed
-}
-
-TEST(AgentCheckpointerTest, RestoreRoundTripsTableAndCounters) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store, {});
-  push_data(net, 500'000);
-  agent.poll_once();
-  const auto key = net::Prefix::host(net.b.address());
-  ASSERT_NE(agent.learned(key), nullptr);
-  const auto before = *agent.learned(key);
-  const auto polls_before = agent.stats().polls;
-
-  checkpointer.checkpoint_now();
-  agent.crash();
-  ASSERT_EQ(agent.table().size(), 0u);
-  ASSERT_TRUE(checkpointer.restore());
-  EXPECT_EQ(checkpointer.stats().restores, 1u);
-  EXPECT_EQ(checkpointer.stats().records_recovered, 1u);
-  ASSERT_NE(agent.learned(key), nullptr);
-  EXPECT_EQ(*agent.learned(key), before);
-  // Monitoring counters survive the generation change.
-  EXPECT_GE(agent.stats().polls, polls_before);
-}
-
-TEST(AgentCheckpointerTest, RestoreFallsBackPastCorruptedSnapshot) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store, {});
-  push_data(net, 500'000);
-  agent.poll_once();
-  const auto key = net::Prefix::host(net.b.address());
-  const auto learned = *agent.learned(key);
-
-  checkpointer.checkpoint_now();  // good generation
-  checkpointer.checkpoint_now();  // newest generation...
-  ASSERT_TRUE(store.corrupt_newest(13));  // ...header-corrupted
-  agent.crash();
-  ASSERT_TRUE(checkpointer.restore());
-  EXPECT_EQ(checkpointer.stats().snapshots_rejected, 1u);
-  EXPECT_EQ(checkpointer.stats().restores, 1u);
-  ASSERT_NE(agent.learned(key), nullptr);
-  EXPECT_EQ(*agent.learned(key), learned);
-}
-
-TEST(AgentCheckpointerTest, RestoreSkipsSnapshotWithNoSurvivingRecords) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store, {});
-  push_data(net, 500'000);
-  agent.poll_once();
-  const auto key = net::Prefix::host(net.b.address());
-  const auto learned = *agent.learned(key);
-
-  checkpointer.checkpoint_now();  // good generation
-  checkpointer.checkpoint_now();  // newest: header intact...
-  // ...but its only record fails CRC (first record byte: past the 24-byte
-  // header and 44-byte v2 counter block). The decoded table is empty, so
-  // restore must fall through to the older generation instead of
-  // accepting a snapshot that carries no state.
-  ASSERT_TRUE(store.corrupt_newest(24 + 44));
-  agent.crash();
-  ASSERT_TRUE(checkpointer.restore());
-  EXPECT_EQ(checkpointer.stats().snapshots_rejected, 1u);
-  EXPECT_EQ(checkpointer.stats().restores, 1u);
-  ASSERT_NE(agent.learned(key), nullptr);
-  EXPECT_EQ(*agent.learned(key), learned);
-}
-
-TEST(AgentCheckpointerTest, RestoreWithoutSnapshotsReportsFailure) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store, {});
-  EXPECT_FALSE(checkpointer.restore());
-  EXPECT_EQ(checkpointer.stats().restores, 0u);
-}
-
-TEST(AgentCheckpointerTest, ReinstallProgramsRestoredRoutesImmediately) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, checkpoint_agent_config());
-  persist::MemorySnapshotStore store;
-  persist::AgentCheckpointer checkpointer(net.sim, agent, store, {});
-  push_data(net, 500'000);
-  agent.poll_once();
-  const auto installed =
-      net.a.routing_table().effective_initcwnd(net.b.address(), 10);
-  ASSERT_GT(installed, 10u);
-
-  checkpointer.checkpoint_now();
-  agent.crash();
-  // The reboot took the kernel routes with it.
-  for (const auto& entry : net.a.routing_table().learned_routes()) {
-    net.a.routing_table().remove(entry.prefix);
-  }
-  ASSERT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);
-  ASSERT_TRUE(checkpointer.restore(/*reinstall_routes=*/true));
-  // The jump-start: windows are live again before the first poll.
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            installed);
 }
 
 }  // namespace

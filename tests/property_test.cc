@@ -304,7 +304,7 @@ faults::FaultPlan random_fault_plan(sim::Rng& rng) {
     const auto pop_a = static_cast<std::size_t>(rng.uniform_int(0, 6));
     const auto pop_b = pop_a + 1;
     const int host = static_cast<int>(rng.uniform_int(-1, 7));
-    switch (rng.uniform_int(0, 11)) {
+    switch (rng.uniform_int(0, 10)) {
       case 0:
         plan.link_down(at, pop_a, pop_b);
         break;
@@ -338,10 +338,6 @@ faults::FaultPlan random_fault_plan(sim::Rng& rng) {
       case 9:
         plan.agent_crash(at, host, duration, rng.bernoulli(0.5),
                          rng.bernoulli(0.5));
-        break;
-      case 10:
-        plan.snapshot_corrupt(
-            at, host, static_cast<std::size_t>(rng.uniform_int(0, 4096)));
         break;
       default:
         plan.route_drift(at, host, pick_fraction(rng), pick_fraction(rng));

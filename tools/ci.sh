@@ -27,7 +27,7 @@ run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
 
 # One sanitizer pass runs every test once, each under the 300 s limit, so
 # a wedged simulation fails the build rather than hanging it. The ctest
-# labels (chaos, persist, sched, hostile, chaos-search, cc, examples) still
+# labels (chaos, sched, hostile, chaos-search, cc, examples) still
 # select a subsystem's suites by hand: `ctest --test-dir build-ci-asan -L
 # chaos`.
 run_config build-ci-asan \
@@ -103,10 +103,12 @@ echo "==== docs lint ===="
 python3 tools/check_md_links.py
 python3 tools/check_cli_docs.py --binary build-ci-release/tools/riptide_sim
 
-# Trace smoke: one traced run through the CLI, then schema/order
-# validation of the emitted JSONL.
+# Trace smoke: one traced run through the CLI, with a link flap and a warm
+# reboot so fault, link and agent-restore records are checked too, then
+# schema/order validation of the emitted JSONL.
 echo "==== trace smoke ===="
 ./build-ci-release/tools/riptide_sim --pops 3 --duration 20 --seed 7 \
+  --faults "@5 flap 0-1 2 2; @8 crash -1 3 reboot-warm" \
   --trace build-ci-release/trace_ci.jsonl
 python3 tools/trace_report.py build-ci-release/trace_ci.jsonl --check
 

@@ -41,13 +41,13 @@ REQUIRED_KEYS = {
     "agent-program": {"host", "route", "verdict", "scale", "initcwnd",
                       "initrwnd"},
     "agent-route": {"host", "route", "cause", "window"},
-    "agent-restore": {"host", "from_checkpoint", "reinstalled", "records",
-                      "generation", "rejected"},
+    "agent-restore": {"host", "source", "reinstalled", "records",
+                      "generation"},
     "agent-rollback": {"host", "routes"},
     "governor-state": {"host", "from", "to", "cause", "retrans_fraction",
                        "routes"},
-    "fault": {"label", "restored", "value", "duration_ns"},
-    "link": {"name", "up"},
+    "fault": {"fault", "restored", "value", "duration_ns"},
+    "link": {"link", "up"},
 }
 
 # Closed vocabulary for tcp-cwnd "cause" (src/trace/sink.cc to_string):
