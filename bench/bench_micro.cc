@@ -20,7 +20,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "stats/cdf.h"
-#include "stats/ewma.h"
 #include "tcp/connection.h"
 #include "hotpath.h"
 #include "queue_throughput.h"
@@ -125,17 +124,6 @@ void BM_RoutingTableLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RoutingTableLookup)->Arg(16)->Arg(256)->Arg(2048);
-
-void BM_EwmaUpdate(benchmark::State& state) {
-  stats::Ewma ewma(0.5);
-  double v = 10.0;
-  for (auto _ : state) {
-    v = v * 1.01;
-    if (v > 100) v = 10;
-    benchmark::DoNotOptimize(ewma.update(v));
-  }
-}
-BENCHMARK(BM_EwmaUpdate);
 
 void BM_CdfQuantile(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -72,8 +72,6 @@ struct Cell {
   std::uint64_t rollbacks = 0;
   std::uint64_t stage_scaledowns = 0;
   std::uint64_t stage_withdrawals = 0;
-  std::uint64_t budget_sheds = 0;
-  std::uint64_t storm_escalations = 0;
 };
 
 cdn::ExperimentConfig base_config(bool quick) {
@@ -124,8 +122,6 @@ Cell measure(const runner::RunResult& result, const std::string& policy,
     cell.rollbacks += agent->stats().governor_rollbacks;
     cell.stage_scaledowns += agent->stats().governor_stage_scaledowns;
     cell.stage_withdrawals += agent->stats().governor_stage_withdrawals;
-    cell.budget_sheds += agent->stats().governor_budget_sheds;
-    cell.storm_escalations += agent->stats().governor_storm_escalations;
   }
   return cell;
 }
@@ -133,20 +129,18 @@ Cell measure(const runner::RunResult& result, const std::string& policy,
 // With --json the table goes to stderr so stdout stays a valid JSON
 // document (ci.sh redirects stdout straight into BENCH_policy.ci.json).
 void print_table(std::FILE* out, const std::vector<Cell>& cells) {
-  std::fprintf(out, "%-18s %3s %-14s %9s %8s %8s %9s %5s %5s %5s\n",
+  std::fprintf(out, "%-18s %3s %-14s %9s %8s %8s %9s %5s %5s\n",
                "policy", "gran", "scenario", "goodput", "p50ms", "p99ms",
-               "rt/MB", "roll", "stage", "shed");
+               "rt/MB", "roll", "stage");
   for (const auto& c : cells) {
     std::fprintf(out,
-                 "%-18s %3d %-14s %9.2f %8.1f %8.1f %9.2f %5llu %5llu "
-                 "%5llu\n",
+                 "%-18s %3d %-14s %9.2f %8.1f %8.1f %9.2f %5llu %5llu\n",
                  c.policy.c_str(), c.granularity, c.scenario.c_str(),
                  c.goodput_mbps, c.p50_fct_ms, c.p99_fct_ms,
                  c.retrans_per_mb,
                  static_cast<unsigned long long>(c.rollbacks),
                  static_cast<unsigned long long>(c.stage_scaledowns +
-                                                 c.stage_withdrawals),
-                 static_cast<unsigned long long>(c.budget_sheds));
+                                                 c.stage_withdrawals));
   }
 }
 
@@ -189,16 +183,13 @@ void print_json(const std::vector<Cell>& cells, bool quick) {
         "\"%s\", \"goodput_mbps\": %.3f, \"p50_fct_ms\": %.2f, "
         "\"p99_fct_ms\": %.2f, \"flows\": %zu, \"retransmissions\": %llu, "
         "\"retrans_per_mb\": %.3f, \"rollbacks\": %llu, "
-        "\"stage_scaledowns\": %llu, \"stage_withdrawals\": %llu, "
-        "\"budget_sheds\": %llu, \"storm_escalations\": %llu}%s\n",
+        "\"stage_scaledowns\": %llu, \"stage_withdrawals\": %llu}%s\n",
         c.policy.c_str(), c.granularity, c.scenario.c_str(), c.goodput_mbps,
         c.p50_fct_ms, c.p99_fct_ms, c.flows,
         static_cast<unsigned long long>(c.retransmissions), c.retrans_per_mb,
         static_cast<unsigned long long>(c.rollbacks),
         static_cast<unsigned long long>(c.stage_scaledowns),
         static_cast<unsigned long long>(c.stage_withdrawals),
-        static_cast<unsigned long long>(c.budget_sheds),
-        static_cast<unsigned long long>(c.storm_escalations),
         i + 1 < cells.size() ? "," : "");
   }
   std::printf("  ],\n");

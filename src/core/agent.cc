@@ -9,6 +9,29 @@
 
 namespace riptide::core {
 
+namespace {
+
+// Actuator retry: a failed route write is retried after kActuatorBackoff,
+// doubling per attempt, and dropped as a dead letter after
+// kActuatorMaxRetries retries.
+constexpr std::uint32_t kActuatorMaxRetries = 4;
+constexpr sim::Time kActuatorBackoff = sim::Time::milliseconds(100);
+
+// Staleness guard: judged once kStalenessMinSegments were sent since the
+// previous poll; a retransmit share at or above kStalenessRetransFraction
+// multiplies the learned window by kStalenessDecay.
+constexpr double kStalenessRetransFraction = 0.2;
+constexpr std::uint32_t kStalenessMinSegments = 20;
+constexpr double kStalenessDecay = 0.5;
+
+// Staged ladder: stage 1 multiplies every installed window by
+// kStageScaleFactor; stage 2 withdraws the newest kStageWithdrawFraction
+// of the installed routes.
+constexpr double kStageScaleFactor = 0.5;
+constexpr double kStageWithdrawFraction = 0.5;
+
+}  // namespace
+
 RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
                            RiptideConfig config,
                            std::unique_ptr<RouteProgrammer> programmer,
@@ -32,15 +55,6 @@ RiptideAgent::RiptideAgent(sim::Simulator& sim, host::Host& host,
   if (config_.granularity == Granularity::kPrefix &&
       (config_.prefix_length < 1 || config_.prefix_length > 32)) {
     throw std::invalid_argument("RiptideAgent: bad prefix_length");
-  }
-  if (config_.staleness_decay <= 0.0 || config_.staleness_decay >= 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: staleness_decay outside (0, 1)");
-  }
-  if (config_.staleness_retrans_fraction <= 0.0 ||
-      config_.staleness_retrans_fraction > 1.0) {
-    throw std::invalid_argument(
-        "RiptideAgent: staleness_retrans_fraction outside (0, 1]");
   }
 }
 
@@ -73,9 +87,6 @@ AgentStats& operator+=(AgentStats& total, const AgentStats& add) {
   total.governor_stage_withdrawals += add.governor_stage_withdrawals;
   total.governor_routes_stage_withdrawn +=
       add.governor_routes_stage_withdrawn;
-  total.governor_budget_sheds += add.governor_budget_sheds;
-  total.governor_routes_budget_shed += add.governor_routes_budget_shed;
-  total.governor_storm_escalations += add.governor_storm_escalations;
   return total;
 }
 
@@ -286,7 +297,7 @@ void RiptideAgent::retry_later(const net::Prefix& dst, std::uint32_t initcwnd,
   op.initcwnd = initcwnd;
   op.clear = clear;
   ++op.attempts;
-  if (op.attempts > config_.actuator_max_retries) {
+  if (op.attempts > kActuatorMaxRetries) {
     ++stats_.actuator_dead_letters;
     pending_ops_.erase(dst);
     return;
@@ -294,8 +305,7 @@ void RiptideAgent::retry_later(const net::Prefix& dst, std::uint32_t initcwnd,
   ++stats_.actuator_retries;
   const int shift = static_cast<int>(std::min<std::uint32_t>(
       op.attempts - 1, 16));  // cap the doubling: backoff stays finite
-  const sim::Time backoff =
-      config_.actuator_backoff * (std::int64_t{1} << shift);
+  const sim::Time backoff = kActuatorBackoff * (std::int64_t{1} << shift);
   op.timer = sim_.schedule(backoff, [this, dst] { retry_pending(dst); });
 }
 
@@ -506,64 +516,36 @@ std::vector<std::pair<net::Prefix, double>> RiptideAgent::decide(
 }
 
 void RiptideAgent::budget() {
-  // One answer per poll: the most each destination may install, 0 meaning
-  // shed. The table keeps the unscaled learned values — the budget caps
-  // what is *installed*, not what is known.
-  budget_windows_.clear();
+  // One answer per poll: the scale every installed window shrinks by. The
+  // table keeps the unscaled learned values — the budget caps what is
+  // *installed*, not what is known.
   budget_scale_ = 1.0;
   // Chaos-search fault hook: the budget stays configured but is not
   // enforced, so the budget oracle can prove it catches the regression.
   if (config_.test_skip_budget_enforcement) return;
-  budget_scale_ = governor_.budget_windows(table_, budget_windows_);
-  if (budget_windows_.empty()) return;
-  if (governor_.shed_newest()) {
-    ++stats_.governor_budget_sheds;
-  } else {
-    ++stats_.governor_budget_scaledowns;
+  if (config_.governor.budget_segments == 0) return;
+  double total = 0.0;
+  for (const auto& [destination, state] : table_.entries()) {
+    total += state.final_window_segments;
   }
+  budget_scale_ = governor_.budget_scale(total);
+  if (budget_scale_ < 1.0) ++stats_.governor_budget_scaledowns;
 }
 
-const std::uint32_t* RiptideAgent::budget_window(
-    const net::Prefix& dst) const {
-  const auto it = std::lower_bound(
-      budget_windows_.begin(), budget_windows_.end(), dst,
-      [](const BudgetWindow& w, const net::Prefix& p) {
-        return net::PrefixOrder{}(w.destination, p);
-      });
-  if (it == budget_windows_.end() || it->destination != dst) return nullptr;
-  return &it->window;
+std::uint32_t RiptideAgent::budget_cap(double final_window) const {
+  return std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(final_window * budget_scale_)));
 }
 
 void RiptideAgent::actuate(
     const std::vector<std::pair<net::Prefix, double>>& decisions) {
-  const std::uint64_t shed_before = stats_.governor_routes_budget_shed;
+  // A budget scale binds every window this poll; the trace shows it as the
+  // scale.
+  const bool budget_bound = budget_scale_ < 1.0;
   for (const auto& [destination, final_window] : decisions) {
     auto initcwnd = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(std::lround(final_window)));
-    bool budget_bound = false;
-    trace::ProgramVerdict verdict = trace::ProgramVerdict::kProgrammed;
-    if (const std::uint32_t* cap = budget_window(destination)) {
-      if (*cap == 0) {
-        // Shed: too junior for the budget. Any installed boost comes out;
-        // the destination rides the default initial window until either
-        // the budget frees up or its seniority grows.
-        if (installed_.contains(destination) ||
-            pending_ops_.contains(destination)) {
-          withdraw(destination, Audit::route(trace::RouteCause::kBudgetShed));
-          ++stats_.governor_routes_budget_shed;
-        }
-        continue;
-      }
-      // A proportional scale binds every window this poll (the trace shows
-      // it as the scale); a shed-newest cap binds only the windows it cuts.
-      if (!governor_.shed_newest()) {
-        budget_bound = true;
-      } else if (*cap < initcwnd) {
-        budget_bound = true;
-        verdict = trace::ProgramVerdict::kBudgetShrink;
-      }
-      initcwnd = std::min(initcwnd, *cap);
-    }
+    if (budget_bound) initcwnd = std::min(initcwnd, budget_cap(final_window));
     // Hysteresis damps churn, never a shrink the budget demands.
     if (const auto it = installed_.find(destination);
         it != installed_.end() &&
@@ -575,47 +557,31 @@ void RiptideAgent::actuate(
                     route_metrics(initcwnd).initrwnd_segments);
       continue;
     }
-    program(destination, initcwnd, Audit::program(verdict, budget_scale_));
+    program(destination, initcwnd,
+            Audit::program(trace::ProgramVerdict::kProgrammed, budget_scale_));
   }
-  budget_sweep(shed_before);
+  budget_sweep();
 }
 
-void RiptideAgent::budget_sweep(std::uint64_t shed_before) {
-  if (budget_windows_.empty()) return;
+void RiptideAgent::budget_sweep() {
+  if (budget_scale_ >= 1.0) return;
   // The budget is host-wide: routes installed by earlier polls, whose
-  // destinations saw no fresh samples this poll, are shed or shrunk by
-  // the same answer — the decisions never visit them, so without this
-  // sweep the installed sum could stay over budget indefinitely. Sheds go
-  // first, then shrinks; shrinking to budget is a safety action, not
-  // churn, so hysteresis does not apply. Collect first: the writes mutate
-  // installed_.
+  // destinations saw no fresh samples this poll, are shrunk by the same
+  // scale — the decisions never visit them, so without this sweep the
+  // installed sum could stay over budget indefinitely. Shrinking to budget
+  // is a safety action, not churn, so hysteresis does not apply. Collect
+  // first: the writes mutate installed_.
   sweep_.clear();
   for (const auto& [destination, metrics] : installed_) {
-    const std::uint32_t* cap = budget_window(destination);
-    if (cap == nullptr) continue;  // not in the table: expiry withdraws it
-    if (*cap == 0 || *cap < metrics.initcwnd_segments) {
-      sweep_.emplace_back(destination, *cap);
-    }
+    const DestinationState* state = table_.find(destination);
+    if (state == nullptr) continue;  // not in the table: expiry withdraws it
+    const std::uint32_t cap = budget_cap(state->final_window_segments);
+    if (cap < metrics.initcwnd_segments) sweep_.emplace_back(destination, cap);
   }
   for (const auto& [destination, cap] : sweep_) {
-    if (cap != 0) continue;
-    withdraw(destination, Audit::route(trace::RouteCause::kBudgetShed));
-    ++stats_.governor_routes_budget_shed;
-  }
-  for (const auto& [destination, cap] : sweep_) {
-    if (cap == 0) continue;
     program(destination, cap,
             Audit::program(trace::ProgramVerdict::kBudgetShrink,
                            budget_scale_));
-  }
-  if (governor_.shed_newest()) {
-    // Budget pressure is a governor decision even though the state machine
-    // does not move: annotate the timeline so audits see the cause.
-    trace_governor_state(
-        governor_.state(), governor_.state(), trace::GovernorCause::kBudget,
-        0.0,
-        static_cast<std::uint32_t>(stats_.governor_routes_budget_shed -
-                                   shed_before));
   }
 }
 
@@ -628,15 +594,14 @@ void RiptideAgent::staleness_guard(
   if (!config_.staleness_guard) return;
   for (const auto& [dst, delta] : retransmit_deltas(snapshot)) {
     const auto& [d_retrans, d_sent] = delta;
-    if (d_sent < config_.staleness_min_segments) continue;
+    if (d_sent < kStalenessMinSegments) continue;
     if (static_cast<double>(d_retrans) <
-        config_.staleness_retrans_fraction * static_cast<double>(d_sent)) {
+        kStalenessRetransFraction * static_cast<double>(d_sent)) {
       continue;
     }
     const DestinationState* state = table_.find(dst);
     if (state == nullptr) continue;
-    const double decayed =
-        state->final_window_segments * config_.staleness_decay;
+    const double decayed = state->final_window_segments * kStalenessDecay;
     if (decayed <= static_cast<double>(config_.c_min)) {
       // The learned window has decayed to the floor and the path is still
       // hurting: withdraw outright, restoring the default initial window.
@@ -699,23 +664,22 @@ void RiptideAgent::manual_rollback() {
 
 void RiptideAgent::staged_scale_down(GovernorState from,
                                      double retrans_fraction) {
-  // Stage 1: keep every route but halve (by stage_scale_factor) what it
-  // may burst. The learned table keeps the unscaled values: a healthy
-  // window next poll reprograms them at full size. Collect first — the
-  // writes mutate installed_.
-  const double factor = governor_.config().stage_scale_factor;
+  // Stage 1: keep every route but halve what it may burst. The learned
+  // table keeps the unscaled values: a healthy window next poll reprograms
+  // them at full size. Collect first — the writes mutate installed_.
   sweep_.clear();
   for (const auto& [destination, metrics] : installed_) {
     const auto target = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(
-               std::lround(metrics.initcwnd_segments * factor)));
+               std::lround(metrics.initcwnd_segments * kStageScaleFactor)));
     if (target < metrics.initcwnd_segments) {
       sweep_.emplace_back(destination, target);
     }
   }
   for (const auto& [destination, initcwnd] : sweep_) {
     program(destination, initcwnd,
-            Audit::program(trace::ProgramVerdict::kStageScaleDown, factor));
+            Audit::program(trace::ProgramVerdict::kStageScaleDown,
+                           kStageScaleFactor));
   }
   ++stats_.governor_stage_scaledowns;
   stats_.governor_routes_stage_scaled += sweep_.size();
@@ -726,11 +690,11 @@ void RiptideAgent::staged_scale_down(GovernorState from,
 
 void RiptideAgent::staged_selective_withdraw(GovernorState from,
                                              double retrans_fraction) {
-  // Stage 2: the scale-down was not enough — withdraw the newest
-  // stage_withdraw_fraction of installed routes entirely (their learned
-  // entries too, so the next poll re-learns instead of instantly
-  // reprogramming the same window). Newest first: fresh routes are both
-  // the least proven and the likeliest cause of a synchronized burst.
+  // Stage 2: the scale-down was not enough — withdraw the newest half of
+  // the installed routes entirely (their learned entries too, so the next
+  // poll re-learns instead of instantly reprogramming the same window).
+  // Newest first: fresh routes are both the least proven and the likeliest
+  // cause of a synchronized burst.
   struct Candidate {
     net::Prefix destination;
     std::uint64_t updates;
@@ -756,7 +720,7 @@ void RiptideAgent::staged_selective_withdraw(GovernorState from,
       candidates.size(),
       static_cast<std::size_t>(
           std::ceil(static_cast<double>(candidates.size()) *
-                    governor_.config().stage_withdraw_fraction)));
+                    kStageWithdrawFraction)));
   for (std::size_t i = 0; i < count; ++i) {
     const net::Prefix destination = candidates[i].destination;
     table_.erase(destination);
@@ -806,7 +770,7 @@ void RiptideAgent::emergency_rollback(sim::Time now, double retrans_fraction,
   table_ = ObservedTable{};
   seen_counters_.clear();
   const GovernorState from = governor_.state();
-  if (governor_.arm_cooldown(now)) ++stats_.governor_storm_escalations;
+  governor_.arm_cooldown(now);
   trace_governor_state(from, GovernorState::kCooldown, cause,
                        retrans_fraction,
                        static_cast<std::uint32_t>(targets.size()));

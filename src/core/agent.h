@@ -50,14 +50,11 @@ struct AgentStats {
   std::uint64_t governor_routes_rolled_back = 0;
   std::uint64_t governor_cooldown_polls = 0;     // polls skipped cooling down
 
-  // -- staged response + budget fairness (governor hardening) --
+  // -- staged response (governor hardening) --
   std::uint64_t governor_stage_scaledowns = 0;   // stage-1 actions fired
   std::uint64_t governor_routes_stage_scaled = 0;
   std::uint64_t governor_stage_withdrawals = 0;  // stage-2 actions fired
   std::uint64_t governor_routes_stage_withdrawn = 0;
-  std::uint64_t governor_budget_sheds = 0;       // shed-newest polls enforced
-  std::uint64_t governor_routes_budget_shed = 0;
-  std::uint64_t governor_storm_escalations = 0;  // cooldowns grown by storms
 };
 
 // Field-by-field sum, for totals across a fleet of agents.
@@ -168,8 +165,8 @@ class RiptideAgent {
   // "manual" so the audit trail distinguishes it from the brake firing.
   void manual_rollback();
 
-  // Read-only view of the safety governor (state machine, effective
-  // cooldown) for tests and monitoring.
+  // Read-only view of the safety governor's state machine for tests and
+  // monitoring.
   const SafetyGovernor& governor() const { return governor_; }
 
   // Destination key for a peer address at the configured granularity.
@@ -252,12 +249,12 @@ class RiptideAgent {
   // Combine, fold, guard and clamp each destination: its final window,
   // in ascending destination order.
   std::vector<std::pair<net::Prefix, double>> decide(sim::Time now);
-  // The budget's answer for this poll into budget_windows_.
+  // The budget's answer for this poll into budget_scale_.
   void budget();
   // Programs the decisions under the budget, then applies the budget to
   // the routes earlier polls installed.
   void actuate(const std::vector<std::pair<net::Prefix, double>>& decisions);
-  void budget_sweep(std::uint64_t shed_before);
+  void budget_sweep();
   void staleness_guard(const std::vector<host::SocketInfo>& snapshot,
                        sim::Time now);
   void expire(sim::Time now);
@@ -279,8 +276,8 @@ class RiptideAgent {
 
   PollOutcome poll_once_impl();
   double clamp_window(double value) const;
-  // The budget's cap for `dst` this poll, or null when it does not bind.
-  const std::uint32_t* budget_window(const net::Prefix& dst) const;
+  // The most a learned window may install under this poll's budget scale.
+  std::uint32_t budget_cap(double final_window) const;
   void adopt_existing_routes();
   // Governor actions.
   void emergency_rollback(sim::Time now, double retrans_fraction,
@@ -331,16 +328,15 @@ class RiptideAgent {
   // Poll-loop scratch, reused across polls so steady-state polling does
   // not allocate: observations tagged with their destination, stably
   // sorted so each destination is a contiguous run, plus the flat
-  // observation array the combiner spans point into; the budget's answer
-  // (and its proportional scale); and the routes a sweep collects before
-  // writing (writes mutate installed_).
+  // observation array the combiner spans point into; the budget's scale;
+  // and the routes a sweep collects before writing (writes mutate
+  // installed_).
   struct DestObservation {
     net::Prefix destination;
     Observation obs;
   };
   std::vector<DestObservation> poll_scratch_;
   std::vector<Observation> poll_observations_;
-  std::vector<BudgetWindow> budget_windows_;
   double budget_scale_ = 1.0;
   std::vector<std::pair<net::Prefix, std::uint32_t>> sweep_;
   AgentStats stats_;

@@ -72,34 +72,24 @@ struct RiptideConfig {
   double trend_drop_fraction = 0.5;
 
   // ------------------------------------------------------------------
-  // Hardening knobs (robustness under network and actuator failures).
-  // Defaults are chosen so a fault-free run behaves bit-identically to an
-  // agent without any of this machinery: the retry path only activates on
-  // actuator failures, and the staleness guard defaults off. (A crashed
-  // predecessor's leftover routes are always adopted at start(); a fresh
-  // host has none.)
+  // Hardening (robustness under network and actuator failures). A
+  // fault-free run behaves bit-identically to an agent without any of
+  // this machinery: the actuator retry path (a failed route program or
+  // clear is retried after 100 ms, doubling per attempt, and dropped as a
+  // dead letter after 4 retries; a later successful write for the same
+  // destination cancels it) only activates on actuator failures, and the
+  // staleness guard defaults off. (A crashed predecessor's leftover routes
+  // are always adopted at start(); a fresh host has none.)
   // ------------------------------------------------------------------
-
-  // Actuator retry: a failed set_initial_windows/clear is retried with
-  // exponential backoff (actuator_backoff, doubling per attempt) up to
-  // actuator_max_retries times; ops still failing after that are dropped
-  // and counted as dead letters. A later successful poll for the same
-  // destination cancels the pending retry (the fresh value supersedes it).
-  std::uint32_t actuator_max_retries = 4;
-  sim::Time actuator_backoff = sim::Time::milliseconds(100);
 
   // Staleness guard: a destination whose connections show an elevated
   // retransmit rate while a learned window is installed is on a path that
   // no longer supports that window (path change, loss burst). Each poll
-  // where retrans/segments-sent exceeds `staleness_retrans_fraction`
-  // (judged only once at least `staleness_min_segments` segments were
-  // sent since the previous poll), the learned window is decayed by
-  // `staleness_decay`; at or below c_min the route is withdrawn outright,
-  // restoring the default initial window.
+  // where retransmits exceed 20% of the segments sent since the previous
+  // poll (judged once at least 20 were sent), the learned window halves;
+  // at or below c_min the route is withdrawn outright, restoring the
+  // default initial window.
   bool staleness_guard = false;
-  double staleness_retrans_fraction = 0.2;
-  std::uint32_t staleness_min_segments = 20;
-  double staleness_decay = 0.5;
 
   // ------------------------------------------------------------------
   // Durable state and the safety governor. Same contract as the knobs
@@ -119,12 +109,11 @@ struct RiptideConfig {
 
   // The safety governor: host-wide initcwnd budget, route-churn
   // hysteresis, and the emergency brake (all-or-nothing rollback or the
-  // staged ladder, with rollback-storm backoff). See GovernorConfig for
-  // each knob; every default is off.
+  // staged ladder). See GovernorConfig for each knob; every default is
+  // off.
   GovernorConfig governor{};
 
   // Test-only fault hook: silently skip the governor's budget enforcement
-  // (both the proportional scale-down and the shed-newest admission pass)
   // while leaving the budget configured. Exists so the chaos-search suite
   // (src/chaos) can prove its budget oracle actually detects a governor
   // whose enforcement regressed; never set outside tests.

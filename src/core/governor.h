@@ -1,28 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "core/observed_table.h"
-#include "net/ipv4.h"
 #include "sim/time.h"
 
 namespace riptide::core {
-
-// How the host-wide initcwnd budget is enforced when the table wants more
-// than the budget admits.
-enum class BudgetFairness : std::uint8_t {
-  // Every programmed window shrinks by budget/total — relative learned
-  // ordering between destinations is preserved, but a flood of new
-  // destinations dilutes long-established routes along with the newcomers.
-  kProportional,
-  // Seniority-ordered admission: destinations with the longest learning
-  // history keep their full windows; the newest routes are shed (their
-  // boost withdrawn, falling back to the default initial window) until the
-  // total fits. Prevents the starvation case where a flash crowd of fresh
-  // destinations drags every veteran route toward the floor.
-  kShedNewest,
-};
 
 // Observable governor state. kScaleDown and kSelectiveWithdraw only occur
 // with staged_response enabled; the legacy ladder is kNormal <-> kCooldown.
@@ -45,10 +27,9 @@ enum class StagedAction : std::uint8_t {
 struct GovernorConfig {
   // Host-wide ceiling on the *sum* of programmed initcwnd values across
   // every route this agent owns. When a poll round's desired total
-  // exceeds it, enforcement follows `budget_fairness`: proportional
-  // scale-down (default) or newest-first shedding. 0 = unlimited.
+  // exceeds it, every programmed window shrinks by budget/total: relative
+  // learned ordering between destinations is preserved. 0 = unlimited.
   std::uint32_t budget_segments = 0;
-  BudgetFairness budget_fairness = BudgetFairness::kProportional;
   // Skip reprogramming a route when |desired - installed| is within this
   // band: damps route-churn from windows oscillating by a segment or two
   // around a plateau. 0 = no damping (equal values reprogram every poll).
@@ -65,35 +46,13 @@ struct GovernorConfig {
   // after a rollback before re-learning from live traffic.
   sim::Time cooldown = sim::Time::seconds(30);
 
-  // -- staged response (proportional, per-route degradation) --
-  // Instead of the all-or-nothing host rollback, escalate one stage per
-  // consecutive over-threshold poll: scale every installed window down
-  // (stage 1), withdraw the newest routes (stage 2), then the full
-  // rollback + cooldown (stage 3). Any healthy poll de-escalates straight
-  // back to kNormal. Off (the default) keeps the historical single-stage
-  // behavior bit-identical.
+  // Staged response (proportional, per-route degradation): instead of the
+  // all-or-nothing host rollback, escalate one stage per consecutive
+  // over-threshold poll: halve every installed window (stage 1), withdraw
+  // the newest half of the routes (stage 2), then the full rollback +
+  // cooldown (stage 3). Any healthy poll de-escalates straight back to
+  // kNormal. Off (the default) keeps the single-stage behavior.
   bool staged_response = false;
-  // Stage 1 multiplier applied to every installed initcwnd.
-  double stage_scale_factor = 0.5;
-  // Stage 2: fraction of installed routes withdrawn, newest first.
-  double stage_withdraw_fraction = 0.5;
-
-  // -- rollback-storm hysteresis --
-  // > 1 enables it: a rollback re-armed within `storm_memory` of the
-  // previous cooldown's end is a storm (synchronized retransmit spikes
-  // re-tripping the brake the moment it releases), and each such rollback
-  // multiplies the next cooldown by this factor, capped at max_cooldown.
-  // A rollback after a quiet period resets to the base cooldown. 1.0 (the
-  // default) is the identity: every cooldown is exactly `cooldown`.
-  double storm_backoff_factor = 1.0;
-  sim::Time max_cooldown = sim::Time::seconds(480);
-  sim::Time storm_memory = sim::Time::seconds(120);
-};
-
-// One destination's share of the host-wide initcwnd budget for one poll.
-struct BudgetWindow {
-  net::Prefix destination;
-  std::uint32_t window = 0;  // the largest initcwnd it may install; 0 = shed
 };
 
 // Host-wide safety valve over the agent's aggressiveness, pure decision
@@ -131,9 +90,6 @@ class SafetyGovernor {
   bool staged() const {
     return rollback_enabled() && config_.staged_response;
   }
-  bool shed_newest() const {
-    return config_.budget_fairness == BudgetFairness::kShedNewest;
-  }
 
   // Should the agent withdraw everything right now? True when rollback is
   // enabled, we are not already cooling down, at least `min_packets` were
@@ -151,10 +107,9 @@ class SafetyGovernor {
   StagedAction assess(std::uint64_t retrans_delta,
                       std::uint64_t packets_delta, sim::Time now);
 
-  // Enters kCooldown until now + effective cooldown (the agent calls this
-  // on the rollback edge). Returns true when storm hysteresis extended
-  // the cooldown beyond its base value (a storm escalation).
-  bool arm_cooldown(sim::Time now);
+  // Enters kCooldown until now + cooldown (the agent calls this on the
+  // rollback edge).
+  void arm_cooldown(sim::Time now);
 
   // True while cooling down; performs the kCooldown -> kNormal transition
   // when the deadline has passed.
@@ -165,17 +120,6 @@ class SafetyGovernor {
   // budget is set or the total fits.
   double budget_scale(double total_desired_segments) const;
 
-  // The budget's answer for one poll: for every destination of `table`,
-  // in table order, the largest initcwnd it may install (0 = shed). `out`
-  // is left empty when no budget is set or the table fits. Proportional
-  // fairness scales every learned window by budget_scale(total) and
-  // returns that factor (1.0 otherwise). Shed-newest admits whole windows
-  // by seniority — most updates first, then the least recently refreshed,
-  // then prefix order — gives the first window that no longer fits
-  // whatever is left, and sheds everything junior to it.
-  double budget_windows(const ObservedTable& table,
-                        std::vector<BudgetWindow>& out) const;
-
   // True when reprogramming `desired` over `installed` is churn the
   // hysteresis band says to skip. Always false with the knob at 0 — an
   // equal value is reprogrammed every poll, as the agent always has.
@@ -185,11 +129,6 @@ class SafetyGovernor {
   // Raw state, with no side effects (in_cooldown() performs the expiry
   // transition; this does not). For tracing and tests.
   GovernorState state() const { return state_; }
-  // The cooldown arm_cooldown would use right now (post-storm-backoff).
-  sim::Time current_cooldown() const { return current_cooldown_; }
-  std::uint64_t storm_escalations() const { return storm_escalations_; }
-
-  const GovernorConfig& config() const { return config_; }
 
  private:
   bool over_threshold(std::uint64_t retrans_delta,
@@ -198,13 +137,6 @@ class SafetyGovernor {
   GovernorConfig config_;
   GovernorState state_ = GovernorState::kNormal;
   sim::Time cooldown_until_;
-  // Storm-hysteresis memory: the effective cooldown (grows by
-  // storm_backoff_factor per storm rollback) and when the last cooldown
-  // ended (to tell a storm re-trip from an isolated incident).
-  sim::Time current_cooldown_;
-  sim::Time last_cooldown_end_;
-  bool cooled_down_once_ = false;
-  std::uint64_t storm_escalations_ = 0;
 };
 
 }  // namespace riptide::core

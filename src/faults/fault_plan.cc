@@ -1,6 +1,7 @@
 #include "faults/fault_plan.h"
 
 #include <cctype>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -146,6 +147,15 @@ struct Token {
                               "'");
 }
 
+// Bounds every number meets before it becomes a Time or an integer: a
+// double outside the target type's range makes that conversion undefined.
+// Times and durations share the hostile grammar's [0, 1e6] s.
+constexpr double kMaxSeconds = 1e6;
+constexpr double kMaxIndex = 1e6;        // PoP and host indices, flap counts
+constexpr double kMinRateFactor = 1e-6;  // 10 Gbps slows to 10 kbps at most
+constexpr double kMaxRateFactor = 1e6;
+
+// A finite number spanning the whole token.
 double parse_number(const Token& token) {
   std::size_t consumed = 0;
   double value = 0.0;
@@ -155,7 +165,13 @@ double parse_number(const Token& token) {
     fail("bad number", token);
   }
   if (consumed != token.text.size()) fail("bad number", token);
+  if (!std::isfinite(value)) fail("non-finite number", token);
   return value;
+}
+
+// True for a whole number in [min, kMaxIndex], which casts to int safely.
+bool whole_in_range(double value, double min) {
+  return value >= min && value <= kMaxIndex && value == std::floor(value);
 }
 
 // "A-B" -> PoP pair.
@@ -169,8 +185,7 @@ void parse_link(const Token& token, std::size_t& a, std::size_t& b) {
       parse_number({token.text.substr(0, dash), token.offset});
   const double db =
       parse_number({token.text.substr(dash + 1), token.offset + dash + 1});
-  if (da < 0 || db < 0 || da != static_cast<std::size_t>(da) ||
-      db != static_cast<std::size_t>(db)) {
+  if (!whole_in_range(da, 0) || !whole_in_range(db, 0)) {
     fail("bad link (want nonnegative integers)", token);
   }
   a = static_cast<std::size_t>(da);
@@ -279,9 +294,11 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     if (tok[0].text.size() < 2 || tok[0].text[0] != '@') {
       fail("expected '@SECONDS' to lead the event", tok[0]);
     }
-    const sim::Time at = sim::Time::from_seconds(
-        parse_number({tok[0].text.substr(1), tok[0].offset + 1}));
-    if (at < sim::Time::zero()) fail("negative event time", tok[0]);
+    const double at_s =
+        parse_number({tok[0].text.substr(1), tok[0].offset + 1});
+    if (at_s < 0.0) fail("negative event time", tok[0]);
+    if (at_s > kMaxSeconds) fail("event time over 1e6 s", tok[0]);
+    const sim::Time at = sim::Time::from_seconds(at_s);
     if (tok.size() < 2) fail("missing action", tok[0]);
     const Token& action = tok[1];
     const auto want = [&](std::size_t n) {
@@ -299,6 +316,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const auto seconds = [&](const Token& token) {
       const double s = parse_number(token);
       if (s < 0.0) fail("negative duration", token);
+      if (s > kMaxSeconds) fail("duration over 1e6 s", token);
       return sim::Time::from_seconds(s);
     };
 
@@ -316,8 +334,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       parse_link(tok[2], a, b);
       const sim::Time period = seconds(tok[3]);
       const double count = parse_number(tok[4]);
-      if (count < 1 || count != static_cast<int>(count)) {
-        fail("flap count must be a positive integer", tok[4]);
+      if (!whole_in_range(count, 1)) {
+        fail("flap count must be an integer in [1, 1e6]", tok[4]);
       }
       plan.link_flap(at, a, b, period, static_cast<int>(count));
     } else if (action.text == "loss") {
@@ -328,13 +346,16 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       want(3);
       parse_link(tok[2], a, b);
       const double factor = parse_number(tok[3]);
-      if (factor <= 0.0) fail("rate factor must be positive", tok[3]);
+      if (factor < kMinRateFactor || factor > kMaxRateFactor) {
+        fail("rate factor outside [1e-6, 1e6]", tok[3]);
+      }
       plan.rate_factor(at, a, b, factor, seconds(tok[4]));
     } else if (action.text == "delay") {
       want(3);
       parse_link(tok[2], a, b);
       const double ms = parse_number(tok[3]);
       if (ms < 0.0) fail("negative extra delay", tok[3]);
+      if (ms > kMaxSeconds * 1000.0) fail("extra delay over 1e6 s", tok[3]);
       plan.extra_delay(at, a, b, ms, seconds(tok[4]));
     } else if (action.text == "actuator-fail") {
       want(2);
@@ -348,7 +369,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     } else if (action.text == "crash") {
       want(3);
       const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
+      if (!whole_in_range(host, -1)) {
         fail("crash host must be an index or -1 (all)", tok[2]);
       }
       bool warm = false;
@@ -370,7 +391,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     } else if (action.text == "route-drift") {
       want(3);
       const double host = parse_number(tok[2]);
-      if (host < -1 || host != static_cast<int>(host)) {
+      if (!whole_in_range(host, -1)) {
         fail("route-drift host must be an index or -1 (all)", tok[2]);
       }
       plan.route_drift(at, static_cast<int>(host), probability(tok[3]),

@@ -77,6 +77,9 @@ bool operator==(const FaultEvent& a, const FaultEvent& b);
 //
 // Example: "@5 flap 0-1 2 6; @10 actuator-fail 0.3 30; @20 loss 0-1 0.05 10"
 // Whitespace between tokens is free-form; times accept fractions ("@2.5").
+// Every number must be finite: times and durations (EXTRA_MS included)
+// lie in [0, 1e6] s, FACTOR in [1e-6, 1e6], and PoP, HOST and COUNT are
+// whole numbers up to 1e6.
 class FaultPlan {
  public:
   FaultPlan() = default;

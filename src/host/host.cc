@@ -7,6 +7,13 @@
 
 namespace riptide::host {
 
+namespace {
+
+// IP + TCP headers on the wire, added to every segment's payload.
+constexpr std::uint32_t kHeaderBytes = 40;
+
+}  // namespace
+
 Host::Host(sim::Simulator& sim, std::string name, net::Ipv4Address address,
            tcp::TcpConfig default_config)
     : sim_(sim),
@@ -121,7 +128,7 @@ void Host::send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg) {
   net::Packet packet;
   packet.src = tuple.local_addr;
   packet.dst = tuple.remote_addr;
-  packet.size_bytes = seg->payload_bytes + default_config_.header_bytes;
+  packet.size_bytes = seg->payload_bytes + kHeaderBytes;
   packet.payload = std::move(seg).ref();
   ++stats_.packets_sent;
   uplink_->receive(packet);
@@ -138,7 +145,7 @@ void Host::send_rst_for(const net::Packet& packet, const tcp::Segment& seg) {
   net::Packet out;
   out.src = packet.dst;
   out.dst = packet.src;
-  out.size_bytes = default_config_.header_bytes;
+  out.size_bytes = kHeaderBytes;
   out.payload = std::move(rst).ref();
   ++stats_.rst_sent;
   ++stats_.packets_sent;
@@ -187,8 +194,6 @@ std::vector<SocketInfo> Host::socket_stats() const {
     info.bytes_in_flight = conn->bytes_in_flight();
     info.retransmissions = conn->stats().retransmissions;
     info.segments_sent = conn->stats().segments_sent;
-    info.srtt = conn->srtt();
-    info.established_at = conn->established_at();
     out.push_back(info);
   }
   return out;

@@ -33,8 +33,6 @@ struct SocketInfo {
   // segments sent to detect paths gone bad under a learned window.
   std::uint64_t retransmissions = 0;
   std::uint64_t segments_sent = 0;
-  std::optional<sim::Time> srtt;
-  sim::Time established_at;
 };
 
 struct HostStats {

@@ -126,17 +126,11 @@ PolicySpec parse_policy(const std::string& full_text) {
 
 void arm_recommended_governor(core::RiptideConfig& riptide) {
   riptide.governor.budget_segments = 300;
-  riptide.governor.budget_fairness = core::BudgetFairness::kShedNewest;
   riptide.governor.hysteresis_segments = 2;
   riptide.governor.rollback_retrans_fraction = 0.05;
   riptide.governor.min_packets = 200;
   riptide.governor.cooldown = sim::Time::seconds(20);
   riptide.governor.staged_response = true;
-  riptide.governor.stage_scale_factor = 0.5;
-  riptide.governor.stage_withdraw_fraction = 0.5;
-  riptide.governor.storm_backoff_factor = 2.0;
-  riptide.governor.max_cooldown = sim::Time::seconds(160);
-  riptide.governor.storm_memory = sim::Time::seconds(60);
 }
 
 namespace {
@@ -184,7 +178,7 @@ std::size_t install_oracle(cdn::Experiment& experiment,
                            const PolicySpec& spec) {
   cdn::Topology& topo = experiment.topology();
   const auto& tconfig = topo.config();
-  const double mss = static_cast<double>(tconfig.host_tcp.mss);
+  const double mss = static_cast<double>(tcp::kMss);
   std::size_t installed = 0;
   for (host::Host* host : topo.all_hosts()) {
     const int src_pop = topo.pop_of(host->address());

@@ -29,8 +29,8 @@ struct PolicySpec {
   // Route granularity: 32 = per-host routes; 24/20/16 aggregate. Applies
   // to every kind that installs or learns routes.
   int prefix_length = 32;
-  // kAdaptive only: arm the recommended SafetyGovernor pack (budget with
-  // shed-newest fairness, staged response, storm hysteresis).
+  // kAdaptive only: arm the recommended SafetyGovernor pack (budget,
+  // hysteresis, staged response).
   bool governed = false;
   // Congestion-control regime, "cc=<name>" in the grammar. For route-
   // installing kinds (static/oracle/adaptive) it is stamped onto every
@@ -69,9 +69,9 @@ struct PolicyInstallation {
 void apply_policy(cdn::ExperimentConfig& config, const PolicySpec& spec);
 
 // The governed-adaptive SafetyGovernor pack, exposed so tests and docs
-// pin the exact values: budget 300 segments with shed-newest fairness,
-// 5% rollback threshold with the staged ladder, and 2x storm backoff
-// capped at 8x the 20 s base cooldown.
+// pin the exact values: budget 300 segments, a 2-segment hysteresis band,
+// and a 5% rollback threshold (over at least 200 packets) with the staged
+// ladder and a 20 s cooldown.
 void arm_recommended_governor(core::RiptideConfig& riptide);
 
 }  // namespace riptide::policy

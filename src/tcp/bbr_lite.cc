@@ -4,12 +4,26 @@
 
 namespace riptide::tcp {
 
-BbrLite::BbrLite(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
-                 BbrTuning tuning)
-    : mss_(mss),
-      initial_cwnd_(initial_cwnd_bytes),
-      cwnd_(initial_cwnd_bytes),
-      tuning_(tuning) {}
+namespace {
+
+// The published BBR v1 gains; windows generous for WAN RTTs.
+constexpr double kStartupGain = 2.885;    // 2/ln2: doubles delivery rate per RTT
+constexpr double kDrainGain = 0.3465;     // 1/startup gain: drains the queue
+constexpr double kCwndGain = 2.0;         // cwnd = gain * estimated BDP
+constexpr double kProbeGainUp = 1.25;     // probe-bw cycle phase 0
+constexpr double kProbeGainDown = 0.75;   // phase 1 (drain what phase 0 queued)
+constexpr std::uint32_t kProbeCycleLen = 8;   // phases 2..7 cruise at gain 1.0
+constexpr std::size_t kBwWindowRounds = 10;   // max-filter depth, in rounds
+constexpr std::uint32_t kFullBwRounds = 3;    // startup exit: plateau length
+constexpr double kFullBwThresh = 1.25;        // startup exit: growth floor
+constexpr sim::Time kMinRttWindow = sim::Time::seconds(10);
+constexpr sim::Time kProbeRttDuration = sim::Time::milliseconds(200);
+constexpr std::uint64_t kMinCwndSegments = 4;  // floor, and the probe-RTT window
+
+}  // namespace
+
+BbrLite::BbrLite(std::uint32_t mss, std::uint64_t initial_cwnd_bytes)
+    : mss_(mss), initial_cwnd_(initial_cwnd_bytes), cwnd_(initial_cwnd_bytes) {}
 
 double BbrLite::bottleneck_bw_bytes_per_sec() const {
   double best = 0.0;
@@ -19,12 +33,12 @@ double BbrLite::bottleneck_bw_bytes_per_sec() const {
 
 double BbrLite::current_gain() const {
   switch (mode_) {
-    case Mode::kStartup: return tuning_.startup_gain;
-    case Mode::kDrain: return tuning_.drain_gain;
+    case Mode::kStartup: return kStartupGain;
+    case Mode::kDrain: return kDrainGain;
     case Mode::kProbeRtt: return 1.0;
     case Mode::kProbeBw:
-      if (cycle_phase_ == 0) return tuning_.probe_gain_up;
-      if (cycle_phase_ == 1) return tuning_.probe_gain_down;
+      if (cycle_phase_ == 0) return kProbeGainUp;
+      if (cycle_phase_ == 1) return kProbeGainDown;
       return 1.0;
   }
   return 1.0;
@@ -47,7 +61,7 @@ void BbrLite::finish_round(sim::Time now) {
     const double sample =
         static_cast<double>(delivered_ - round_base_) / elapsed;
     bw_samples_.push_back(sample);
-    while (bw_samples_.size() > tuning_.bw_window_rounds) {
+    while (bw_samples_.size() > kBwWindowRounds) {
       bw_samples_.pop_front();
     }
   }
@@ -57,13 +71,13 @@ void BbrLite::finish_round(sim::Time now) {
 
   switch (mode_) {
     case Mode::kStartup: {
-      // Exit once the filtered bandwidth stops growing by full_bw_thresh
-      // for full_bw_rounds consecutive rounds: the pipe is full.
+      // Exit once the filtered bandwidth stops growing by 25% for three
+      // consecutive rounds: the pipe is full.
       const double bw = bottleneck_bw_bytes_per_sec();
-      if (bw >= full_bw_ * tuning_.full_bw_thresh) {
+      if (bw >= full_bw_ * kFullBwThresh) {
         full_bw_ = bw;
         full_bw_count_ = 0;
-      } else if (++full_bw_count_ >= tuning_.full_bw_rounds) {
+      } else if (++full_bw_count_ >= kFullBwRounds) {
         mode_ = Mode::kDrain;
       }
       break;
@@ -74,8 +88,7 @@ void BbrLite::finish_round(sim::Time now) {
       cycle_phase_ = 2;  // skip straight to cruising; probe on next cycle
       break;
     case Mode::kProbeBw:
-      cycle_phase_ = (cycle_phase_ + 1) % std::max(tuning_.probe_cycle_len,
-                                                   std::uint32_t{2});
+      cycle_phase_ = (cycle_phase_ + 1) % kProbeCycleLen;
       break;
     case Mode::kProbeRtt:
       break;  // timed, not round-counted
@@ -101,24 +114,24 @@ void BbrLite::update_min_rtt(const AckEvent& ev) {
     }
     return;
   }
-  if (min_rtt_ && ev.now - min_rtt_stamp_ > tuning_.min_rtt_window) {
+  if (min_rtt_ && ev.now - min_rtt_stamp_ > kMinRttWindow) {
     probe_rtt_return_ = mode_ == Mode::kStartup ? Mode::kStartup
                                                 : Mode::kProbeBw;
     mode_ = Mode::kProbeRtt;
-    probe_rtt_done_ = ev.now + tuning_.probe_rtt_duration;
+    probe_rtt_done_ = ev.now + kProbeRttDuration;
     signal_ = CcSignal::kBbrProbeRtt;
   }
 }
 
 void BbrLite::update_target_cwnd(const AckEvent& ev) {
-  const std::uint64_t floor = std::uint64_t{tuning_.min_cwnd_segments} * mss_;
+  const std::uint64_t floor = kMinCwndSegments * mss_;
   if (mode_ == Mode::kProbeRtt) {
     cwnd_ = floor;
     return;
   }
   const std::uint64_t bdp = bdp_bytes();
   std::uint64_t target =
-      bdp > 0 ? static_cast<std::uint64_t>(tuning_.cwnd_gain *
+      bdp > 0 ? static_cast<std::uint64_t>(kCwndGain *
                                            static_cast<double>(bdp))
               : cwnd_;
   if (mode_ == Mode::kStartup) {
@@ -157,7 +170,7 @@ void BbrLite::on_timeout(sim::Time /*now*/, std::uint64_t /*bytes_in_flight*/) {
   // An RTO means the model lost the plot; collapse to the floor and let
   // the ACK stream rebuild it (the bandwidth filter keeps its history —
   // a spurious RTO should not forget a good estimate).
-  cwnd_ = std::uint64_t{tuning_.min_cwnd_segments} * mss_;
+  cwnd_ = kMinCwndSegments * mss_;
 }
 
 void BbrLite::on_restart_after_idle() {

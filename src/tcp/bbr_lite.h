@@ -18,18 +18,18 @@ namespace riptide::tcp {
 //   * Bandwidth: delivered bytes are accumulated per round (rounds
 //     delimited by the current RTT estimate, as in HyStart); each round's
 //     delivered/elapsed is a bandwidth sample, max-filtered over the last
-//     bw_window_rounds rounds. Reordering robustness falls out of the
+//     10 rounds. Reordering robustness falls out of the
 //     cumulative accounting: dupACK storms contribute no on_ack calls,
 //     and the eventual cumulative ACK restores the exact byte count, so
 //     a reordered round measures the same delivery as an in-order one.
-//   * Min RTT: windowed minimum over min_rtt_window; when the estimate
-//     goes stale, a probe-RTT episode clamps cwnd to min_cwnd_segments
-//     for probe_rtt_duration to drain the queue and re-measure.
-//   * State machine: STARTUP (gain startup_gain until the bandwidth
-//     filter plateaus for full_bw_rounds rounds) -> DRAIN (one inverse-
-//     gain round) -> PROBE_BW (the 8-phase pacing-gain cycle), with
-//     PROBE_RTT overriding any state.
-//   * cwnd = cwnd_gain * estimated BDP, floored at min_cwnd_segments;
+//   * Min RTT: windowed minimum over 10 s; when the estimate goes stale,
+//     a 200 ms probe-RTT episode clamps cwnd to the 4-segment floor to
+//     drain the queue and re-measure.
+//   * State machine: STARTUP (gain 2/ln2 until the bandwidth filter
+//     plateaus for 3 rounds) -> DRAIN (one inverse-gain round) ->
+//     PROBE_BW (the 8-phase pacing-gain cycle), with PROBE_RTT overriding
+//     any state.
+//   * cwnd = 2 * estimated BDP, floored at 4 segments;
 //     during STARTUP it additionally grows by bytes acked so the initial
 //     (possibly route-jump-started) window keeps doubling while the
 //     model warms up.
@@ -37,12 +37,11 @@ namespace riptide::tcp {
 // Loss is *not* a model input: on_enter/on_exit_recovery leave the window
 // alone (steady-state loss tolerance is BBR's defining property), and
 // only an RTO — by then the model is provably wrong — collapses to the
-// floor window. Every constant is construction-time tunable via
-// BbrTuning.
+// floor window. The constants are the published BBR v1 values
+// (bbr_lite.cc).
 class BbrLite : public CongestionControl {
  public:
-  BbrLite(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
-          BbrTuning tuning = {});
+  BbrLite(std::uint32_t mss, std::uint64_t initial_cwnd_bytes);
 
   void on_ack(const AckEvent& ev) override;
   void on_enter_recovery(sim::Time now, std::uint64_t bytes_in_flight) override;
@@ -81,7 +80,6 @@ class BbrLite : public CongestionControl {
   std::uint32_t mss_;
   std::uint64_t initial_cwnd_;
   std::uint64_t cwnd_;
-  BbrTuning tuning_;
 
   Mode mode_ = Mode::kStartup;
   Mode probe_rtt_return_ = Mode::kStartup;  // mode to resume afterwards

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/time.h"
-
 namespace riptide::tcp {
 
 enum class CcAlgorithm {
@@ -32,48 +30,17 @@ enum class RouteCc : std::uint8_t {
 const char* to_string(RouteCc cc);
 bool parse_route_cc(const std::string& token, RouteCc& out);
 
-// HyStart thresholds (delay-increase + ACK-train slow-start exit). Every
-// constant is construction-time tunable; the defaults reproduce the
-// pre-extraction Cubic behaviour exactly (delay variant only, eta =
-// prev_round_min/8 clamped to [4, 16] ms).
-struct HystartTuning {
-  // Delay-increase: exit when this round's min RTT exceeds the previous
-  // round's by eta = prev_min / eta_divisor, clamped to [min_eta, max_eta].
-  std::uint32_t eta_divisor = 8;
-  sim::Time min_eta = sim::Time::milliseconds(4);
-  sim::Time max_eta = sim::Time::milliseconds(16);
-  // ACK-train: exit when a train of closely spaced ACKs (inter-ACK gap at
-  // most train_spacing_max) stretches past half the minimum RTT — the
-  // window already covers the pipe. Off by default: the delay variant
-  // alone is the historical behaviour the golden fingerprint pins.
-  bool ack_train = false;
-  sim::Time train_spacing_max = sim::Time::milliseconds(2);
-};
+// Payload bytes per full segment. Every connection uses it; the
+// congestion controllers, the connection and the policy zoo's BDP oracle
+// all read it.
+inline constexpr std::uint32_t kMss = 1460;
 
-// BBR-lite model constants (bbr_lite.h). Gains are the published BBR v1
-// values; windows are generous for WAN RTTs.
-struct BbrTuning {
-  double startup_gain = 2.885;  // 2/ln2: doubles delivery rate per RTT
-  double drain_gain = 0.3465;   // 1/startup_gain: drains the startup queue
-  double cwnd_gain = 2.0;       // cwnd = cwnd_gain * estimated BDP
-  double probe_gain_up = 1.25;  // probe-bw cycle phase 0
-  double probe_gain_down = 0.75;  // phase 1 (drain what phase 0 queued)
-  std::uint32_t probe_cycle_len = 8;   // phases 2..7 cruise at gain 1.0
-  std::uint32_t bw_window_rounds = 10;     // max-filter depth, in rounds
-  std::uint32_t full_bw_rounds = 3;        // startup exit: plateau length
-  double full_bw_thresh = 1.25;            // startup exit: growth floor
-  sim::Time min_rtt_window = sim::Time::seconds(10);
-  sim::Time probe_rtt_duration = sim::Time::milliseconds(200);
-  std::uint32_t min_cwnd_segments = 4;  // floor, and the probe-RTT window
-};
-
-// Per-connection TCP tuning knobs. Defaults mirror a stock Linux host of the
-// paper's era: IW10 (RFC 6928), Cubic, min RTO 200 ms, delayed ACKs with
-// byte counting, slow-start-after-idle on.
+// Per-connection TCP settings: the ones some workload sets to a second
+// value. Defaults mirror a stock Linux host of the paper's era: IW10
+// (RFC 6928), Cubic, delayed ACKs, slow-start-after-idle on. The stack's
+// fixed constants (RTO bounds, retry limits, TIME_WAIT, receive buffer,
+// HyStart and BBR-lite thresholds) live next to their one reader.
 struct TcpConfig {
-  std::uint32_t mss = 1460;           // payload bytes per full segment
-  std::uint32_t header_bytes = 40;    // IP + TCP headers on the wire
-
   // Initial congestion window in segments (RFC 6928 default 10). Riptide
   // overrides this per destination through route metrics at connect time.
   std::uint32_t initial_cwnd_segments = 10;
@@ -82,9 +49,6 @@ struct TcpConfig {
   // Kept deliberately small by default (as in Linux) — §III-C explains why
   // Riptide must raise it alongside c_max or first bursts stall.
   std::uint32_t initial_rwnd_segments = 20;
-
-  // Steady-state receive buffer; advertised once the window has opened.
-  std::uint64_t receive_buffer_bytes = 16u * 1024 * 1024;
 
   CcAlgorithm congestion_control = CcAlgorithm::kCubic;
 
@@ -96,30 +60,16 @@ struct TcpConfig {
   bool sack = false;
 
   // HyStart (Reno and CUBIC): leave slow start when per-round minimum
-  // RTTs show a delay increase (or, with hystart_tuning.ack_train, when
-  // an ACK train spans the pipe), instead of waiting for loss. Off by
+  // RTTs show a delay increase, instead of waiting for loss. Off by
   // default — the study's flows are short and IW-dominated — but
   // available for long-flow scenarios.
   bool hystart = false;
-  HystartTuning hystart_tuning;
-
-  // BBR-lite model constants; only consulted when congestion_control is
-  // CcAlgorithm::kBbrLite.
-  BbrTuning bbr;
-
-  sim::Time initial_rto = sim::Time::seconds(1);
-  sim::Time min_rto = sim::Time::milliseconds(200);
-  sim::Time max_rto = sim::Time::seconds(120);
 
   // Delayed-ACK policy: ACK immediately every `delayed_ack_segments`-th
-  // full segment (or out-of-order data), otherwise after the timeout.
+  // full segment (or out-of-order data), otherwise after the delayed-ACK
+  // timeout. 1 acknowledges every segment, as the analytic transfer model
+  // assumes.
   std::uint32_t delayed_ack_segments = 2;
-  sim::Time delayed_ack_timeout = sim::Time::milliseconds(40);
-
-  std::uint32_t duplicate_ack_threshold = 3;
-
-  std::uint32_t max_syn_retries = 6;
-  std::uint32_t max_data_retries = 15;
 
   // RFC 2861 congestion window validation: collapse cwnd back to the
   // restart window after an idle period > RTO (Linux
@@ -128,26 +78,18 @@ struct TcpConfig {
   bool slow_start_after_idle = true;
 
   // Packet pacing (Linux `fq`/`sk_pacing_rate` style): spread the window
-  // over the RTT at `pacing_gain * cwnd / srtt` instead of line-rate
-  // bursts. §II-B warns that large initial windows risk burst-induced
-  // congestion; pacing is the standard mitigation, and the pacing ablation
-  // bench quantifies it. Pacing engages once an RTT sample exists (i.e.
-  // from the first data flight — the handshake seeds the estimator).
+  // over the RTT at twice cwnd / srtt instead of line-rate bursts. §II-B
+  // warns that large initial windows risk burst-induced congestion; pacing
+  // is the standard mitigation, and the pacing ablation bench quantifies
+  // it. Pacing engages once an RTT sample exists (i.e. from the first data
+  // flight — the handshake seeds the estimator).
   bool pacing = false;
-  double pacing_gain = 2.0;
-  // Token-bucket burst credit: segments may depart up to this many bytes
-  // ahead of the paced schedule (Linux fq's initial quantum). 0 keeps the
-  // strict earliest-departure-time spacing the pacing ablation measured.
-  std::uint64_t pacing_burst_bytes = 0;
-
-  // Shortened TIME_WAIT so simulations recycle port state promptly.
-  sim::Time time_wait_duration = sim::Time::seconds(2);
 
   std::uint32_t initial_cwnd_bytes() const {
-    return initial_cwnd_segments * mss;
+    return initial_cwnd_segments * kMss;
   }
   std::uint32_t initial_rwnd_bytes() const {
-    return initial_rwnd_segments * mss;
+    return initial_rwnd_segments * kMss;
   }
 };
 

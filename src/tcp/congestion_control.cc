@@ -10,17 +10,14 @@ std::unique_ptr<CongestionControl> make_congestion_control(
     const TcpConfig& config, std::uint64_t initial_cwnd_bytes) {
   switch (config.congestion_control) {
     case CcAlgorithm::kNewReno:
-      return std::make_unique<NewReno>(config.mss, initial_cwnd_bytes,
-                                       config.hystart, config.hystart_tuning);
+      return std::make_unique<NewReno>(kMss, initial_cwnd_bytes,
+                                       config.hystart);
     case CcAlgorithm::kCubic:
-      return std::make_unique<Cubic>(config.mss, initial_cwnd_bytes,
-                                     config.hystart, config.hystart_tuning);
+      return std::make_unique<Cubic>(kMss, initial_cwnd_bytes, config.hystart);
     case CcAlgorithm::kBbrLite:
-      return std::make_unique<BbrLite>(config.mss, initial_cwnd_bytes,
-                                       config.bbr);
+      return std::make_unique<BbrLite>(kMss, initial_cwnd_bytes);
   }
-  return std::make_unique<Cubic>(config.mss, initial_cwnd_bytes,
-                                 config.hystart, config.hystart_tuning);
+  return std::make_unique<Cubic>(kMss, initial_cwnd_bytes, config.hystart);
 }
 
 const char* to_string(RouteCc cc) {

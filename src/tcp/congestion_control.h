@@ -67,7 +67,7 @@ class CongestionControl {
 
   // The controller's own pacing-rate opinion in bytes/sec; 0 means "no
   // opinion" and the connection falls back to the window-derived rate
-  // pacing_gain * cwnd / srtt. BBR-lite supplies gain * estimated
+  // 2 * cwnd / srtt. BBR-lite supplies gain * estimated
   // bottleneck bandwidth here, which is the whole point of a rate model.
   virtual double pacing_rate_bytes_per_sec() const { return 0.0; }
 };

@@ -25,6 +25,19 @@ const char* to_string(TcpState state) {
   return "?";
 }
 
+namespace {
+
+// The stack's fixed constants, at stock Linux values. The receive buffer
+// is advertised once the window has opened; window-based controllers pace
+// at kPacingGain * cwnd / srtt.
+constexpr std::uint64_t kReceiveBufferBytes = 16u * 1024 * 1024;
+constexpr sim::Time kDelayedAckTimeout = sim::Time::milliseconds(40);
+constexpr std::uint32_t kDuplicateAckThreshold = 3;
+constexpr std::uint32_t kMaxDataRetries = 15;
+constexpr double kPacingGain = 2.0;
+
+}  // namespace
+
 TcpConnection::TcpConnection(sim::Simulator& sim, TcpConfig config,
                              FourTuple tuple, SegmentSender sender,
                              void* sender_ctx, Callbacks callbacks)
@@ -34,8 +47,7 @@ TcpConnection::TcpConnection(sim::Simulator& sim, TcpConfig config,
       sender_(sender),
       sender_ctx_(sender_ctx),
       callbacks_(std::move(callbacks)),
-      cc_(make_congestion_control(config_, config_.initial_cwnd_bytes())),
-      rtt_(config_.initial_rto, config_.min_rto, config_.max_rto) {}
+      cc_(make_congestion_control(config_, config_.initial_cwnd_bytes())) {}
 
 TcpConnection::~TcpConnection() {
   cancel_rto();
@@ -68,7 +80,7 @@ void TcpConnection::trace_cwnd(trace::CwndCause cause) {
   ev.at_ns = sim_.now().ns();
   ev.kind = trace::EventKind::kTcpCwnd;
   ev.tcp_cwnd = {trace_key(), cause, cc_->cwnd_bytes(), cc_->ssthresh_bytes(),
-                 config_.mss};
+                 kMss};
   sink->emit(ev);
 }
 
@@ -155,7 +167,6 @@ void TcpConnection::abort() {
 
 void TcpConnection::enter_established() {
   set_state(TcpState::kEstablished);
-  established_at_ = sim_.now();
   last_activity_ = sim_.now();
   if (callbacks_.on_established) callbacks_.on_established();
 }
@@ -166,7 +177,7 @@ void TcpConnection::enter_time_wait() {
   delack_timer_.cancel();
   time_wait_timer_.cancel();
   time_wait_timer_ =
-      sim_.schedule(config_.time_wait_duration, [this] { teardown(false); });
+      sim_.schedule(kTimeWait, [this] { teardown(false); });
 }
 
 void TcpConnection::teardown(bool reset) {
@@ -273,8 +284,7 @@ void TcpConnection::send_rst() {
 }
 
 std::uint64_t TcpConnection::advertised_window() const {
-  return window_opened_ ? config_.receive_buffer_bytes
-                        : config_.initial_rwnd_bytes();
+  return window_opened_ ? kReceiveBufferBytes : config_.initial_rwnd_bytes();
 }
 
 // Delayed ACKs stay on the seed's eager cancel + reschedule discipline
@@ -293,7 +303,7 @@ std::uint64_t TcpConnection::advertised_window() const {
 // measured RTT sums that don't re-align with the arrival grid.
 void TcpConnection::schedule_delayed_ack() {
   if (delack_timer_.valid()) return;
-  delack_timer_ = sim_.schedule(config_.delayed_ack_timeout, [this] {
+  delack_timer_ = sim_.schedule(kDelayedAckTimeout, [this] {
     delack_timer_ = sim::EventHandle{};
     if (unacked_segments_ > 0) send_ack_now();
   });
@@ -343,11 +353,10 @@ void TcpConnection::note_paced_send(std::uint32_t bytes) {
   double rate_bytes_per_sec = cc_->pacing_rate_bytes_per_sec();
   if (rate_bytes_per_sec <= 0.0) {
     rate_bytes_per_sec =
-        config_.pacing_gain * static_cast<double>(cc_->cwnd_bytes()) /
+        kPacingGain * static_cast<double>(cc_->cwnd_bytes()) /
         std::max(rtt_.srtt().to_seconds(), 1e-6);
   }
-  pacer_.on_send(sim_.now(), bytes, rate_bytes_per_sec,
-                 config_.pacing_burst_bytes);
+  pacer_.on_send(sim_.now(), bytes, rate_bytes_per_sec);
 }
 
 void TcpConnection::try_send() {
@@ -367,7 +376,7 @@ void TcpConnection::try_send() {
     }
     if (pacing_blocked()) break;
     auto len_bytes =
-        std::min<std::uint64_t>(config_.mss, data_end_seq() - snd_nxt_);
+        std::min<std::uint64_t>(kMss, data_end_seq() - snd_nxt_);
     if (config_.sack) {
       const auto it = sacked_.lower_bound(snd_nxt_ + 1);
       if (it != sacked_.end() && it->first < snd_nxt_ + len_bytes) {
@@ -441,7 +450,7 @@ void TcpConnection::retransmit_front() {
   seg->seq = seq;
   if (seq < data_end_seq()) {
     auto len =
-        std::min<std::uint64_t>(config_.mss, data_end_seq() - seq);
+        std::min<std::uint64_t>(kMss, data_end_seq() - seq);
     if (config_.sack) {
       // Do not run into the next peer-held block.
       const auto it = sacked_.lower_bound(seq + 1);
@@ -510,7 +519,7 @@ void TcpConnection::on_rto() {
   rtt_.on_timeout();
 
   if (state_ == TcpState::kSynSent || state_ == TcpState::kSynReceived) {
-    if (retries_ > config_.max_syn_retries) {
+    if (retries_ > kMaxSynRetries) {
       teardown(true);
       return;
     }
@@ -519,7 +528,7 @@ void TcpConnection::on_rto() {
     return;
   }
 
-  if (retries_ > config_.max_data_retries) {
+  if (retries_ > kMaxDataRetries) {
     teardown(true);
     return;
   }
@@ -625,18 +634,18 @@ void TcpConnection::process_ack(const Segment& seg) {
     ++stats_.duplicate_acks_received;
     ++dupacks_;
     peer_rwnd_ = seg.window_bytes;
-    if (!in_recovery_ && dupacks_ == config_.duplicate_ack_threshold) {
+    if (!in_recovery_ && dupacks_ == kDuplicateAckThreshold) {
       in_recovery_ = true;
       recover_seq_ = snd_nxt_;
       cc_->on_enter_recovery(sim_.now(), bytes_in_flight());
       trace_cwnd(trace::CwndCause::kFastRetransmit);
       recovery_inflation_ =
-          std::uint64_t{config_.duplicate_ack_threshold} * config_.mss;
+          std::uint64_t{kDuplicateAckThreshold} * kMss;
       ++stats_.fast_retransmits;
       retransmit_front();
       arm_rto();
     } else if (in_recovery_) {
-      recovery_inflation_ += config_.mss;
+      recovery_inflation_ += kMss;
       try_send();
     }
     return;
@@ -669,7 +678,7 @@ void TcpConnection::process_ack(const Segment& seg) {
       // one MSS (RFC 6582 §3.2).
       retransmit_front();
       recovery_inflation_ -= std::min(recovery_inflation_, acked);
-      recovery_inflation_ += config_.mss;
+      recovery_inflation_ += kMss;
       arm_rto();
     }
   } else {

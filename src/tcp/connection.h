@@ -67,6 +67,12 @@ class TcpConnection {
   using SegmentSender = void (*)(void* ctx, const FourTuple& tuple,
                                  SegmentRef seg);
 
+  // SYN retransmissions before an active open gives up (Linux's
+  // tcp_syn_retries), and TIME_WAIT, shortened so simulations recycle port
+  // state promptly. The other stack constants live in connection.cc.
+  static constexpr std::uint32_t kMaxSynRetries = 6;
+  static constexpr sim::Time kTimeWait = sim::Time::seconds(2);
+
   struct Callbacks {
     std::function<void()> on_established;
     // `bytes` newly delivered in order (may batch previously out-of-order
@@ -130,7 +136,7 @@ class TcpConnection {
 
   std::uint64_t cwnd_bytes() const { return cc_->cwnd_bytes(); }
   std::uint32_t cwnd_segments() const {
-    return static_cast<std::uint32_t>(cc_->cwnd_bytes() / config_.mss);
+    return static_cast<std::uint32_t>(cc_->cwnd_bytes() / kMss);
   }
   std::uint64_t ssthresh_bytes() const { return cc_->ssthresh_bytes(); }
   std::uint64_t bytes_in_flight() const { return snd_nxt_ - snd_una_; }
@@ -141,7 +147,6 @@ class TcpConnection {
   std::uint64_t bytes_acked() const;
   std::uint64_t bytes_received() const;
   std::optional<sim::Time> srtt() const;
-  sim::Time established_at() const { return established_at_; }
   sim::Time last_activity() const { return last_activity_; }
   bool in_recovery() const { return in_recovery_; }
   const ConnectionStats& stats() const { return stats_; }
@@ -254,7 +259,6 @@ class TcpConnection {
   sim::EventHandle pacing_timer_;
   TokenBucketPacer pacer_;  // earliest-departure-time schedule (tcp/pacing.h)
 
-  sim::Time established_at_;
   sim::Time last_activity_;  // last time we sent data (for idle restart)
   ConnectionStats stats_;
 

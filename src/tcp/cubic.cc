@@ -5,12 +5,11 @@
 
 namespace riptide::tcp {
 
-Cubic::Cubic(std::uint32_t mss, std::uint64_t initial_cwnd_bytes, bool hystart,
-             HystartTuning hystart_tuning)
+Cubic::Cubic(std::uint32_t mss, std::uint64_t initial_cwnd_bytes, bool hystart)
     : mss_(mss),
       initial_cwnd_(initial_cwnd_bytes),
       cwnd_(initial_cwnd_bytes) {
-  if (hystart) hystart_.emplace(hystart_tuning);
+  if (hystart) hystart_.emplace();
 }
 
 double Cubic::w_cubic_segments(double t_seconds) const {

@@ -15,14 +15,14 @@ namespace riptide::tcp {
 //   W_cubic(t) = C * (t - K)^3 + W_max
 // with fast convergence and the TCP-friendly (Reno-tracking) region.
 //
-// Optional HyStart (tcp/hystart.h, delay-increase by default, ACK-train
-// via tuning): when the detector fires during slow start, ssthresh is set
-// to the current window, ending slow start before the queue overflows.
+// Optional HyStart (tcp/hystart.h, delay increase): when the detector
+// fires during slow start, ssthresh is set to the current window, ending
+// slow start before the queue overflows.
 // Disabled by default (the study's flows are short and IW-dominated).
 class Cubic : public CongestionControl {
  public:
   Cubic(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
-        bool hystart = false, HystartTuning hystart_tuning = {});
+        bool hystart = false);
 
   void on_ack(const AckEvent& ev) override;
   void on_enter_recovery(sim::Time now, std::uint64_t bytes_in_flight) override;

@@ -6,17 +6,20 @@
 
 namespace riptide::tcp {
 
+namespace {
+
+// eta = prev_round_min / kEtaDivisor, clamped to [kMinEta, kMaxEta].
+constexpr std::int64_t kEtaDivisor = 8;
+constexpr sim::Time kMinEta = sim::Time::milliseconds(4);
+constexpr sim::Time kMaxEta = sim::Time::milliseconds(16);
+
+}  // namespace
+
 bool Hystart::delay_increase_detected() const {
   if (!prev_round_min_rtt_ || !round_min_rtt_) return false;
   const auto eta =
-      std::clamp(*prev_round_min_rtt_ / tuning_.eta_divisor, tuning_.min_eta,
-                 tuning_.max_eta);
+      std::clamp(*prev_round_min_rtt_ / kEtaDivisor, kMinEta, kMaxEta);
   return *round_min_rtt_ >= *prev_round_min_rtt_ + eta;
-}
-
-bool Hystart::ack_train_detected(sim::Time now) const {
-  if (!tuning_.ack_train || !train_start_ || !min_rtt_) return false;
-  return now - *train_start_ >= *min_rtt_ / 2;
 }
 
 bool Hystart::on_ack(const AckEvent& ev, sim::Time last_rtt) {
@@ -26,21 +29,9 @@ bool Hystart::on_ack(const AckEvent& ev, sim::Time last_rtt) {
     prev_round_min_rtt_ = round_min_rtt_;
     round_min_rtt_.reset();
     round_start_ = ev.now;
-    train_start_.reset();  // trains do not span rounds
   }
   if (!round_min_rtt_ || *ev.rtt < *round_min_rtt_) round_min_rtt_ = *ev.rtt;
-  if (!min_rtt_ || *ev.rtt < *min_rtt_) min_rtt_ = *ev.rtt;
-
-  if (tuning_.ack_train) {
-    if (last_ack_at_ && ev.now - *last_ack_at_ <= tuning_.train_spacing_max) {
-      if (!train_start_) train_start_ = *last_ack_at_;
-    } else {
-      train_start_.reset();
-    }
-    last_ack_at_ = ev.now;
-  }
-
-  return delay_increase_detected() || ack_train_detected(ev.now);
+  return delay_increase_detected();
 }
 
 }  // namespace riptide::tcp

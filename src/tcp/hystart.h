@@ -3,53 +3,35 @@
 #include <optional>
 
 #include "sim/time.h"
-#include "tcp/config.h"
 
 namespace riptide::tcp {
 
 struct AckEvent;
 
 // HyStart slow-start exit detection (Ha & Rhee), extracted from Cubic so
-// any loss-based controller can compose it. Two independent detectors,
-// either of which ends slow start at the current window:
-//
-//  * delay increase — per-round minimum RTTs are tracked, rounds being
-//    delimited by the smoothed RTT; when a round's minimum exceeds the
-//    previous round's by eta = prev_min / eta_divisor (clamped to
-//    [min_eta, max_eta]), the queue has started building. This is the
-//    variant the pre-extraction Cubic shipped, bit-identically.
-//
-//  * ACK train (optional, tuning.ack_train) — a run of ACKs spaced at
-//    most train_spacing_max apart whose span reaches half the minimum
-//    observed RTT means the in-flight window already covers the pipe.
+// any loss-based controller can compose it. Delay increase: per-round
+// minimum RTTs are tracked, rounds being delimited by the smoothed RTT;
+// when a round's minimum exceeds the previous round's by
+// eta = prev_min / 8, clamped to [4, 16] ms, the queue has started
+// building. This is the variant the pre-extraction Cubic shipped,
+// bit-identically.
 //
 // The caller owns the consequence (typically ssthresh = cwnd): on_ack
 // only reports the verdict, so the detector stays controller-agnostic.
 class Hystart {
  public:
-  explicit Hystart(HystartTuning tuning = {}) : tuning_(tuning) {}
-
   // Feeds one ACK; `last_rtt` is the controller's current RTT estimate
   // (round delimiter). Returns true when slow start should end now.
   // Keep calling only while in slow start; detection state is cheap but
   // meaningless afterwards.
   bool on_ack(const AckEvent& ev, sim::Time last_rtt);
 
-  const HystartTuning& tuning() const { return tuning_; }
-
  private:
   bool delay_increase_detected() const;
-  bool ack_train_detected(sim::Time now) const;
 
-  HystartTuning tuning_;
-  // Round tracking (delay-increase detector).
   std::optional<sim::Time> round_start_;
   std::optional<sim::Time> round_min_rtt_;
   std::optional<sim::Time> prev_round_min_rtt_;
-  // ACK-train tracking.
-  std::optional<sim::Time> train_start_;
-  std::optional<sim::Time> last_ack_at_;
-  std::optional<sim::Time> min_rtt_;
 };
 
 }  // namespace riptide::tcp

@@ -5,9 +5,9 @@
 namespace riptide::tcp {
 
 NewReno::NewReno(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
-                 bool hystart, HystartTuning hystart_tuning)
+                 bool hystart)
     : mss_(mss), initial_cwnd_(initial_cwnd_bytes), cwnd_(initial_cwnd_bytes) {
-  if (hystart) hystart_.emplace(hystart_tuning);
+  if (hystart) hystart_.emplace();
 }
 
 void NewReno::on_ack(const AckEvent& ev) {

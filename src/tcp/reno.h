@@ -17,7 +17,7 @@ namespace riptide::tcp {
 class NewReno : public CongestionControl {
  public:
   NewReno(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
-          bool hystart = false, HystartTuning hystart_tuning = {});
+          bool hystart = false);
 
   void on_ack(const AckEvent& ev) override;
   void on_enter_recovery(sim::Time now, std::uint64_t bytes_in_flight) override;

@@ -5,9 +5,13 @@
 
 namespace riptide::tcp {
 
-RttEstimator::RttEstimator(sim::Time initial_rto, sim::Time min_rto,
-                           sim::Time max_rto)
-    : initial_rto_(initial_rto), min_rto_(min_rto), max_rto_(max_rto) {}
+namespace {
+
+constexpr sim::Time kInitialRto = sim::Time::seconds(1);
+constexpr sim::Time kMinRto = sim::Time::milliseconds(200);
+constexpr sim::Time kMaxRto = sim::Time::seconds(120);
+
+}  // namespace
 
 void RttEstimator::add_sample(sim::Time rtt) {
   if (!has_sample_) {
@@ -25,10 +29,10 @@ void RttEstimator::add_sample(sim::Time rtt) {
 }
 
 sim::Time RttEstimator::rto() const {
-  sim::Time base = has_sample_ ? srtt_ + 4 * rttvar_ : initial_rto_;
-  base = std::clamp(base, min_rto_, max_rto_);
-  for (std::uint32_t i = 0; i < backoff_ && base < max_rto_; ++i) {
-    base = std::min(base * 2, max_rto_);
+  sim::Time base = has_sample_ ? srtt_ + 4 * rttvar_ : kInitialRto;
+  base = std::clamp(base, kMinRto, kMaxRto);
+  for (std::uint32_t i = 0; i < backoff_ && base < kMaxRto; ++i) {
+    base = std::min(base * 2, kMaxRto);
   }
   return base;
 }

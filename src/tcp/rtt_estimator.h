@@ -8,11 +8,10 @@ namespace riptide::tcp {
 
 // RTT estimation and retransmission-timeout computation per RFC 6298
 // (Jacobson/Karels smoothing, Karn's rule enforced by the caller feeding
-// only non-retransmitted samples).
+// only non-retransmitted samples). The bounds are Linux's: 1 s before the
+// first sample, clamped to [200 ms, 120 s].
 class RttEstimator {
  public:
-  RttEstimator(sim::Time initial_rto, sim::Time min_rto, sim::Time max_rto);
-
   // Feed one valid RTT sample (from a segment that was not retransmitted).
   void add_sample(sim::Time rtt);
 
@@ -28,9 +27,6 @@ class RttEstimator {
   std::uint32_t backoff_count() const { return backoff_; }
 
  private:
-  sim::Time initial_rto_;
-  sim::Time min_rto_;
-  sim::Time max_rto_;
   sim::Time srtt_;
   sim::Time rttvar_;
   bool has_sample_ = false;

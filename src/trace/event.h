@@ -82,14 +82,12 @@ enum class RouteCause : std::uint8_t {
   kRollback,            // governor emergency rollback withdrew it
   kAdopted,             // leftover route adopted at start()
   kStageWithdraw,       // staged response stage 2 shed it (newest first)
-  kBudgetShed,          // shed-newest budget fairness withdrew it
 };
 const char* to_string(RouteCause cause);
 
 // Why the governor's state machine moved (governor-state events).
 enum class GovernorCause : std::uint8_t {
   kThreshold,  // host-wide retransmit fraction crossed the brake
-  kBudget,     // budget pressure (shed-newest enforcement engaged)
   kManual,     // operator/test asked for it directly
   kRecovered,  // healthy window de-escalated / cooldown elapsed
 };

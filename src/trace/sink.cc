@@ -61,7 +61,6 @@ const char* to_string(RouteCause cause) {
     case RouteCause::kRollback: return "rollback";
     case RouteCause::kAdopted: return "adopted";
     case RouteCause::kStageWithdraw: return "stage-withdraw";
-    case RouteCause::kBudgetShed: return "budget-shed";
   }
   return "?";
 }
@@ -69,7 +68,6 @@ const char* to_string(RouteCause cause) {
 const char* to_string(GovernorCause cause) {
   switch (cause) {
     case GovernorCause::kThreshold: return "threshold";
-    case GovernorCause::kBudget: return "budget";
     case GovernorCause::kManual: return "manual";
     case GovernorCause::kRecovered: return "recovered";
   }

@@ -49,7 +49,7 @@ TEST(PacerTest, ReleaseAdvancesByBytesOverRate) {
   TokenBucketPacer pacer;
   const Time now = Time::seconds(1);
   // 14480 bytes at 1 MB/s -> 14.48 ms serialization time.
-  pacer.on_send(now, 10 * kMss, 1e6, /*burst_bytes=*/0);
+  pacer.on_send(now, 10 * kMss, 1e6);
   EXPECT_TRUE(pacer.blocked(now));
   EXPECT_EQ(pacer.release_at(), now + Time::from_seconds(10 * kMss / 1e6));
   EXPECT_FALSE(pacer.blocked(pacer.release_at()));
@@ -61,24 +61,14 @@ TEST(PacerTest, ConsecutiveSendsAccumulateFromRelease) {
   // throughput equal to the rate.
   TokenBucketPacer pacer;
   const Time now = Time::seconds(1);
-  pacer.on_send(now, kMss, 1e6, 0);
-  pacer.on_send(now, kMss, 1e6, 0);
+  pacer.on_send(now, kMss, 1e6);
+  pacer.on_send(now, kMss, 1e6);
   EXPECT_EQ(pacer.release_at(), now + Time::from_seconds(2 * kMss / 1e6));
-}
-
-TEST(PacerTest, BurstAllowanceUnblocksEarly) {
-  TokenBucketPacer pacer;
-  const Time now = Time::seconds(1);
-  pacer.on_send(now, 10 * kMss, 1e6, /*burst_bytes=*/10 * kMss);
-  // A full burst's worth of slack: the next send may go immediately.
-  EXPECT_FALSE(pacer.blocked(now));
-  pacer.reset();
-  EXPECT_FALSE(pacer.blocked(Time::zero()));
 }
 
 TEST(PacerTest, RateFloorAvoidsDivisionBlowup) {
   TokenBucketPacer pacer;
-  pacer.on_send(Time::seconds(1), kMss, 0.0, 0);  // rate clamps to 1 B/s
+  pacer.on_send(Time::seconds(1), kMss, 0.0);  // rate clamps to 1 B/s
   EXPECT_TRUE(pacer.blocked(Time::seconds(2)));
 }
 
@@ -110,55 +100,11 @@ TEST(HystartUnitTest, SteadyRttNeverFires) {
   }
 }
 
-TEST(HystartUnitTest, EtaDivisorTunesSensitivity) {
-  // With eta_divisor = 2 the threshold is half the previous round's min
-  // (widen max_eta so the clamp does not mask it): a +20 ms inflation
-  // that fires the default detector must NOT fire this one.
-  HystartTuning tuning;
-  tuning.eta_divisor = 2;
-  tuning.max_eta = Time::milliseconds(64);
-  Hystart hs(tuning);
-  Time now = Time::zero();
-  for (int i = 0; i < 10; ++i) {
-    now = now + Time::milliseconds(12);
-    EXPECT_FALSE(hs.on_ack(rtt_ack(now, Time::milliseconds(100)),
-                           Time::milliseconds(100)));
-  }
-  for (int i = 0; i < 30; ++i) {
-    now = now + Time::milliseconds(12);
-    EXPECT_FALSE(hs.on_ack(rtt_ack(now, Time::milliseconds(120)),
-                           Time::milliseconds(120)))
-        << i;
-  }
-  // +70 ms over the 120 ms plateau exceeds eta = 60 ms.
-  bool fired = false;
-  for (int i = 0; i < 30 && !fired; ++i) {
-    now = now + Time::milliseconds(12);
-    fired = hs.on_ack(rtt_ack(now, Time::milliseconds(190)),
-                      Time::milliseconds(190));
-  }
-  EXPECT_TRUE(fired);
-}
-
-TEST(HystartUnitTest, AckTrainFiresWhenSpanReachesHalfMinRtt) {
-  HystartTuning tuning;
-  tuning.ack_train = true;
-  Hystart hs(tuning);
-  const Time rtt0 = Time::milliseconds(100);
-  Time now = Time::zero();
-  bool fired = false;
-  // ACKs 1 ms apart (under the 2 ms spacing cap): the train span reaches
-  // rtt0/2 = 50 ms after ~50 ACKs, well within one 100 ms round.
-  for (int i = 0; i < 80 && !fired; ++i) {
-    now = now + Time::milliseconds(1);
-    fired = hs.on_ack(rtt_ack(now, rtt0), rtt0);
-  }
-  EXPECT_TRUE(fired);
-}
-
 TEST(HystartUnitTest, AckTrainOffByDefault) {
-  Hystart hs;  // default tuning: delay-increase only
-  EXPECT_FALSE(hs.tuning().ack_train);
+  // Dense ACKs 1 ms apart at a flat RTT: an ACK-train detector would fire
+  // once the train spanned half the RTT. The delay-increase detector alone
+  // must stay quiet.
+  Hystart hs;
   const Time rtt0 = Time::milliseconds(100);
   Time now = Time::zero();
   for (int i = 0; i < 80; ++i) {
@@ -303,29 +249,28 @@ TEST(BbrLiteTest, LossEventsLeaveTheModelAlone) {
 }
 
 TEST(BbrLiteTest, ProbeRttDipsAndSignals) {
-  BbrTuning tuning;
-  tuning.min_rtt_window = Time::seconds(1);  // age the estimate fast
-  tuning.probe_rtt_duration = Time::milliseconds(200);
-  BbrLite cc(kMss, 10 * kMss, tuning);
+  BbrLite cc(kMss, 10 * kMss);
   Time now = Time::zero();
   drive_acks(cc, now, 1e6, Time::milliseconds(20), Time::milliseconds(500));
   EXPECT_FALSE(cc.in_probe_rtt());
   // Keep delivering with a *higher* RTT so the min never refreshes; once
-  // the window lapses the controller must probe.
+  // the 10 s min-RTT window lapses the controller must probe.
   bool probed = false;
   CcSignal signal = CcSignal::kNone;
   const Time gap = Time::from_seconds(kMss / 1e6);
-  for (int i = 0; i < 4000 && !probed; ++i) {
+  const Time until = now + Time::seconds(12);
+  while (now < until && !probed) {
     now = now + gap;
     cc.on_ack(rtt_ack(now, Time::milliseconds(25)));
     const CcSignal s = cc.take_signal();
     if (s != CcSignal::kNone) signal = s;
     probed = cc.in_probe_rtt();
   }
+  EXPECT_GT(now, Time::seconds(10));
   ASSERT_TRUE(probed);
   EXPECT_EQ(signal, CcSignal::kBbrProbeRtt);
   EXPECT_EQ(cc.cwnd_bytes(), std::uint64_t{4} * kMss);
-  // The episode ends after probe_rtt_duration and the window restores.
+  // The 200 ms episode ends and the window restores.
   drive_acks(cc, now, 1e6, Time::milliseconds(20), Time::milliseconds(400));
   EXPECT_FALSE(cc.in_probe_rtt());
   EXPECT_GT(cc.cwnd_bytes(), std::uint64_t{4} * kMss);
@@ -334,7 +279,7 @@ TEST(BbrLiteTest, ProbeRttDipsAndSignals) {
 TEST(BbrLiteTest, FactorySelectsBbr) {
   TcpConfig config;
   config.congestion_control = CcAlgorithm::kBbrLite;
-  const auto cc = make_congestion_control(config, 10 * config.mss);
+  const auto cc = make_congestion_control(config, 10 * kMss);
   EXPECT_STREQ(cc->name(), "bbr-lite");
 }
 

@@ -124,6 +124,16 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultPlan::parse("@5 flap 0-1 2 0"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("@5 crash 0 10 tepid"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("@-1 down 0-1"), std::invalid_argument);
+  // Non-finite and out-of-range numbers are rejected at their token, before
+  // any conversion to a Time or an integer.
+  EXPECT_THROW(FaultPlan::parse("@5 loss 0-1 0.5 inf"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@5 delay 0-1 nan 5"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@5 rate 0-1 inf 5"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@nan down 0-1"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@1e300 down 0-1"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@5 flap 0-1 2 1e300"), std::invalid_argument);
+  EXPECT_THROW(FaultPlan::parse("@5 crash 1e300 5 cold"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlanTest, FluentBuildersCompose) {
@@ -247,8 +257,6 @@ TEST(FaultyStatsSourceTest, FailureAndPartialSnapshots) {
 TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(100);
-  config.actuator_max_retries = 4;
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -264,8 +272,9 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             10u);
 
-  // First retry (at +100 ms) hits the second injected failure; the second
-  // retry (backoff doubled, +200 ms) succeeds and installs the route.
+  // First retry (after the 100 ms backoff) hits the second injected
+  // failure; the second retry (backoff doubled, +200 ms) succeeds and
+  // installs the route.
   net.sim.run_until(net.sim.now() + Time::seconds(1));
   EXPECT_EQ(agent.stats().actuator_failures, 2u);
   EXPECT_EQ(agent.stats().actuator_retries, 2u);
@@ -278,43 +287,41 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
 
 TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
   TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(50);
-  config.actuator_max_retries = 2;
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
   auto* programmer = faulty.get();
-  core::RiptideAgent agent(net.sim, net.a, config, std::move(faulty));
+  core::RiptideAgent agent(net.sim, net.a, agent_config(), std::move(faulty));
   push_data(net, 500'000);
 
+  // Four retries back off 100, 200, 400 and 800 ms; the fifth failure is a
+  // dead letter.
   programmer->set_failure_probability(1.0);
   agent.poll_once();
   net.sim.run_until(net.sim.now() + Time::seconds(5));
   EXPECT_EQ(agent.stats().actuator_dead_letters, 1u);
-  EXPECT_EQ(agent.stats().actuator_retries, 2u);
-  EXPECT_EQ(agent.stats().actuator_failures, 3u);  // initial + 2 retries
+  EXPECT_EQ(agent.stats().actuator_retries, 4u);
+  EXPECT_EQ(agent.stats().actuator_failures, 5u);  // initial + 4 retries
   EXPECT_EQ(agent.pending_actuator_ops(), 0u);
   EXPECT_EQ(agent.stats().routes_set, 0u);
 }
 
 TEST(AgentRetryTest, FreshDecisionSupersedesPendingRetry) {
   TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.actuator_backoff = Time::seconds(30);  // retry far in the future
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
   auto* programmer = faulty.get();
-  core::RiptideAgent agent(net.sim, net.a, config, std::move(faulty));
+  core::RiptideAgent agent(net.sim, net.a, agent_config(), std::move(faulty));
   push_data(net, 500'000);
 
   programmer->fail_next(1);
   agent.poll_once();
   EXPECT_EQ(agent.pending_actuator_ops(), 1u);
 
-  // The next poll succeeds directly; the pending retry is cancelled, and
-  // letting its (cancelled) timer slot pass changes nothing.
+  // The next poll, before the 100 ms backoff ends, succeeds directly; the
+  // pending retry is cancelled, and letting its (cancelled) timer slot
+  // pass changes nothing.
   agent.poll_once();
   EXPECT_EQ(agent.pending_actuator_ops(), 0u);
   const auto routes_set = agent.stats().routes_set;
@@ -398,9 +405,6 @@ TEST(StalenessGuardTest, DecaysThenWithdrawsHurtingDestination) {
   auto config = agent_config();
   config.alpha = 1.0;  // history-only fold: decayed values stick
   config.staleness_guard = true;
-  config.staleness_retrans_fraction = 0.2;
-  config.staleness_min_segments = 10;
-  config.staleness_decay = 0.5;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   auto recording = std::make_unique<core::HostRouteProgrammer>(net.a);
@@ -415,8 +419,9 @@ TEST(StalenessGuardTest, DecaysThenWithdrawsHurtingDestination) {
   ASSERT_NE(agent.learned(key), nullptr);
   EXPECT_DOUBLE_EQ(agent.learned(key)->final_window_segments, 80.0);
 
-  // Three polls with a 30/130 retransmit delta each: 80 -> 40 -> 20 ->
-  // withdrawn (20 * 0.5 = 10 <= c_min).
+  // Three polls with a 30/130 retransmit delta each (over the 20% share,
+  // above the 20-segment gate): 80 -> 40 -> 20 -> withdrawn
+  // (20 * 0.5 = 10 <= c_min).
   source->next = {established(remote, 80, 30, 130)};
   agent.poll_once();
   EXPECT_DOUBLE_EQ(agent.learned(key)->final_window_segments, 40.0);
@@ -439,7 +444,6 @@ TEST(StalenessGuardTest, MinSegmentsGateAndQuietPathsUntouched) {
   auto config = agent_config();
   config.alpha = 1.0;
   config.staleness_guard = true;
-  config.staleness_min_segments = 100;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   core::RiptideAgent agent(net.sim, net.a, config, nullptr,
@@ -448,8 +452,9 @@ TEST(StalenessGuardTest, MinSegmentsGateAndQuietPathsUntouched) {
 
   source->next = {established(remote, 80, 0, 0)};
   agent.poll_once();
-  // 100% retransmit rate, but only 50 segments sent: below the gate.
-  source->next = {established(remote, 80, 50, 50)};
+  // 100% retransmit rate, but only 10 segments sent: below the
+  // 20-segment gate.
+  source->next = {established(remote, 80, 10, 10)};
   agent.poll_once();
   EXPECT_EQ(agent.stats().staleness_decays, 0u);
   EXPECT_DOUBLE_EQ(
@@ -461,7 +466,6 @@ TEST(StalenessGuardTest, TupleReuseDoesNotInheritCounters) {
   auto config = agent_config();
   config.alpha = 1.0;
   config.staleness_guard = true;
-  config.staleness_min_segments = 10;
   auto scripted = std::make_unique<ScriptedStatsSource>();
   auto* source = scripted.get();
   core::RiptideAgent agent(net.sim, net.a, config, nullptr,
@@ -543,7 +547,6 @@ TEST(AgentCrashTest, WarmRestartRestoresSnapshotWithoutAdoption) {
 TEST(AgentCrashTest, CrashDropsPendingRetries) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
-  config.actuator_backoff = Time::milliseconds(100);
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
       net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
       sim::Rng(1));
@@ -696,21 +699,19 @@ TEST(FaultHarnessTest, ExperimentWithoutHarnessHasNoExtension) {
   EXPECT_EQ(faults::FaultHarness::from(with_other), nullptr);
 }
 
-// The acceptance scenario: a flapping WAN link plus an actuator failing
-// 30% of route programs. The run must complete (no crash, no unhandled
-// exception), retry/backoff must have engaged, and the staleness guard
-// must have decayed or withdrawn windows on the flapping path.
+// The acceptance scenario: a flapping WAN link that also drops 20% of its
+// packets while it flaps, plus an actuator failing 30% of route programs.
+// The run must complete (no crash, no unhandled exception), retry/backoff
+// must have engaged, and the staleness guard must have decayed or
+// withdrawn windows on the flapping path. (The flap outages alone are too
+// short to reach the guard's 20-segment, 20% threshold within one poll.)
 TEST(FaultHarnessTest, AcceptanceFlappingLinkWithFailingActuator) {
   auto config = harness_world(7);
   config.duration = Time::seconds(90);
   config.riptide.staleness_guard = true;
-  // The flap outages are short; judge the retransmit rate aggressively so
-  // the guard reacts within them.
-  config.riptide.staleness_min_segments = 1;
-  config.riptide.staleness_retrans_fraction = 0.05;
   faults::FaultHarness::install(
-      config,
-      FaultPlan::parse("@10 flap 0-1 5 8; @5 actuator-fail 0.3 70"));
+      config, FaultPlan::parse("@10 flap 0-1 5 8; @10 loss 0-1 0.2 40; "
+                               "@5 actuator-fail 0.3 70"));
 
   cdn::Experiment experiment(config);
   experiment.run();

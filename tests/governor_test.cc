@@ -304,48 +304,15 @@ TEST(SafetyGovernorTest, CooldownExpiresExactlyAtTheDeadline) {
   EXPECT_EQ(governor.state(), core::GovernorState::kNormal);
 }
 
-TEST(SafetyGovernorTest, CooldownReentryWithStormBackoffExtendsDeadline) {
-  auto config = staged_config();
-  config.storm_backoff_factor = 2.0;
-  config.max_cooldown = Time::seconds(60);
-  config.storm_memory = Time::seconds(120);
-  SafetyGovernor governor(config);
-
-  // First incident: base cooldown, not a storm.
-  EXPECT_FALSE(governor.arm_cooldown(Time::seconds(0)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(10));
-  EXPECT_FALSE(governor.in_cooldown(Time::seconds(10)));
-
-  // Re-tripped within storm_memory of the previous cooldown's end: the
-  // deadline doubles each time...
-  EXPECT_TRUE(governor.arm_cooldown(Time::seconds(15)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(20));
-  EXPECT_TRUE(governor.in_cooldown(Time::seconds(30)));
-  EXPECT_FALSE(governor.in_cooldown(Time::seconds(35)));
-
-  EXPECT_TRUE(governor.arm_cooldown(Time::seconds(40)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(40));
-
-  // ...capped at max_cooldown...
-  EXPECT_TRUE(governor.arm_cooldown(Time::seconds(90)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(60));
-  EXPECT_EQ(governor.storm_escalations(), 3u);
-
-  // ...and a rollback after a quiet spell resets to the base cooldown.
-  EXPECT_FALSE(governor.in_cooldown(Time::seconds(200)));
-  EXPECT_FALSE(governor.arm_cooldown(Time::seconds(400)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(10));
-  EXPECT_EQ(governor.storm_escalations(), 3u);
-}
-
 TEST(SafetyGovernorTest, StormBackoffOffByDefaultKeepsEveryCooldownFlat) {
-  auto config = staged_config();  // storm_backoff_factor = 1.0
-  SafetyGovernor governor(config);
+  // A rollback re-tripped the moment the previous cooldown ended (a
+  // rollback storm) still cools down for exactly `cooldown`.
+  SafetyGovernor governor(staged_config());  // cooldown 10 s
   governor.arm_cooldown(Time::seconds(0));
   EXPECT_FALSE(governor.in_cooldown(Time::seconds(10)));
-  EXPECT_FALSE(governor.arm_cooldown(Time::seconds(11)));
-  EXPECT_EQ(governor.current_cooldown(), Time::seconds(10));
-  EXPECT_EQ(governor.storm_escalations(), 0u);
+  governor.arm_cooldown(Time::seconds(11));
+  EXPECT_TRUE(governor.in_cooldown(Time::seconds(21) - Time::nanoseconds(1)));
+  EXPECT_FALSE(governor.in_cooldown(Time::seconds(21)));
 }
 
 TEST(SafetyGovernorTest, StagedLadderEscalatesOneStagePerBadPoll) {
@@ -431,8 +398,6 @@ core::RiptideConfig staged_agent_config() {
   config.governor.min_packets = 10;
   config.governor.cooldown = Time::seconds(10);
   config.governor.staged_response = true;
-  config.governor.stage_scale_factor = 0.5;
-  config.governor.stage_withdraw_fraction = 0.5;
   return config;
 }
 
@@ -560,77 +525,12 @@ TEST(AgentStagedTest, ManualRollbackWithdrawsEverythingAndCoolsDown) {
   EXPECT_EQ(agent.table().size(), 0u);
 }
 
-TEST(AgentStagedTest, RejectsNonsenseStagedKnobs) {
-  TwoHostNet net(Time::milliseconds(20));
-  auto bad_scale = staged_agent_config();
-  bad_scale.governor.stage_scale_factor = 1.5;
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_scale),
-               std::invalid_argument);
-  auto bad_backoff = staged_agent_config();
-  bad_backoff.governor.storm_backoff_factor = 0.5;
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_backoff),
-               std::invalid_argument);
-  auto bad_cap = staged_agent_config();
-  bad_cap.governor.max_cooldown = Time::seconds(1);  // < cooldown
-  EXPECT_THROW(core::RiptideAgent(net.sim, net.a, bad_cap),
-               std::invalid_argument);
-}
-
-// ------------------------------------------- budget fairness (shed-newest)
-
-TEST(AgentBudgetFairnessTest, ShedNewestKeepsVeteranWindowsWhole) {
-  // Starvation regression: under proportional fairness a flash crowd of
-  // fresh destinations dilutes every veteran window toward the floor;
-  // shed-newest must instead shed the newcomers and leave the veteran's
-  // installed window untouched.
-  TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.governor.budget_segments = 60;
-  config.governor.budget_fairness = core::BudgetFairness::kShedNewest;
-  core::RiptideAgent agent(net.sim, net.a, config);
-
-  const auto veteran = net::Prefix::host(net.b.address());
-  const auto mid = net::Prefix::host(net::Ipv4Address(10, 0, 0, 50));
-  const auto fresh1 = net::Prefix::host(net::Ipv4Address(10, 0, 0, 60));
-  const auto fresh2 = net::Prefix::host(net::Ipv4Address(10, 0, 0, 70));
-  core::ObservedTable snapshot;
-  snapshot.put(veteran, core::DestinationState{40.0, Time::zero(), 50});
-  snapshot.put(mid, core::DestinationState{30.0, Time::zero(), 5});
-  snapshot.put(fresh1, core::DestinationState{30.0, Time::zero(), 1});
-  snapshot.put(fresh2, core::DestinationState{30.0, Time::zero(), 1});
-  agent.restore_table(std::move(snapshot), /*reinstall_routes=*/true);
-
-  // Installed total 130 over a budget of 60: the veteran keeps all 40,
-  // the mid-seniority route gets the 20 left over, both newcomers shed.
-  agent.poll_once();
-  EXPECT_EQ(agent.stats().governor_budget_sheds, 1u);
-  EXPECT_EQ(agent.stats().governor_routes_budget_shed, 2u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            40u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(
-                net::Ipv4Address(10, 0, 0, 50), 10),
-            20u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(
-                net::Ipv4Address(10, 0, 0, 60), 10),
-            10u);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(
-                net::Ipv4Address(10, 0, 0, 70), 10),
-            10u);
-  // The learned table keeps every unscaled value: when the budget frees
-  // up (or seniority grows), the shed routes can come back.
-  EXPECT_NE(agent.learned(fresh1), nullptr);
-  EXPECT_DOUBLE_EQ(agent.learned(fresh1)->final_window_segments, 30.0);
-
-  // A second poll is stable: the same admission set reprograms nothing.
-  const auto routes_set = agent.stats().routes_set;
-  agent.poll_once();
-  EXPECT_EQ(agent.stats().routes_set, routes_set);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            40u);
-}
+// -------------------------------------------------------- budget fairness
 
 TEST(AgentBudgetFairnessTest, ProportionalFairnessStillDilutesEveryone) {
-  // The documented contrast case for the default fairness mode.
+  // Proportional scaling is the one budget rule: a flash crowd of fresh
+  // destinations shrinks the veteran route along with the newcomers, and
+  // the learned table keeps every unscaled value.
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
   config.governor.budget_segments = 60;
@@ -649,7 +549,12 @@ TEST(AgentBudgetFairnessTest, ProportionalFairnessStillDilutesEveryone) {
   EXPECT_EQ(agent.stats().governor_budget_scaledowns, 1u);
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             24u);
-  EXPECT_EQ(agent.stats().governor_budget_sheds, 0u);
+  EXPECT_EQ(net.a.routing_table().effective_initcwnd(
+                net::Ipv4Address(10, 0, 0, 60), 10),
+            18u);
+  EXPECT_DOUBLE_EQ(
+      agent.learned(net::Prefix::host(net.b.address()))->final_window_segments,
+      40.0);
 }
 
 // ----------------------------------------------- governor-state tracing
@@ -699,35 +604,22 @@ TEST(GovernorTraceTest, ManualRollbackAndBudgetShedTagTheirCauses) {
   trace::ScopedSink scoped(&sink);
 
   TwoHostNet net(Time::milliseconds(20));
-  auto config = agent_config();
-  config.governor.budget_segments = 20;
-  config.governor.budget_fairness = core::BudgetFairness::kShedNewest;
-  core::RiptideAgent agent(net.sim, net.a, config);
+  core::RiptideAgent agent(net.sim, net.a, agent_config());
   core::ObservedTable snapshot;
   snapshot.put(net::Prefix::host(net.b.address()),
                core::DestinationState{30.0, Time::zero(), 5});
-  snapshot.put(net::Prefix::host(net::Ipv4Address(10, 0, 0, 60)),
-               core::DestinationState{30.0, Time::zero(), 1});
   agent.restore_table(std::move(snapshot), /*reinstall_routes=*/true);
-  agent.poll_once();      // budget shed (cause: budget, from == to)
   agent.manual_rollback();  // cause: manual, -> kCooldown
 
-  bool saw_budget = false;
   bool saw_manual = false;
   for (const auto& ev : sink.events()) {
     if (ev.kind != trace::EventKind::kGovernorState) continue;
-    if (ev.governor.cause == trace::GovernorCause::kBudget) {
-      saw_budget = true;
-      EXPECT_EQ(ev.governor.from, ev.governor.to);
-      EXPECT_GE(ev.governor.routes, 1u);
-    }
-    if (ev.governor.cause == trace::GovernorCause::kManual) {
-      saw_manual = true;
-      EXPECT_EQ(ev.governor.to,
-                static_cast<std::uint8_t>(core::GovernorState::kCooldown));
-    }
+    EXPECT_EQ(ev.governor.cause, trace::GovernorCause::kManual);
+    saw_manual = true;
+    EXPECT_EQ(ev.governor.to,
+              static_cast<std::uint8_t>(core::GovernorState::kCooldown));
+    EXPECT_EQ(ev.governor.routes, 1u);
   }
-  EXPECT_TRUE(saw_budget);
   EXPECT_TRUE(saw_manual);
 }
 

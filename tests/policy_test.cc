@@ -87,16 +87,15 @@ TEST(PolicyApplyTest, AdaptiveSetsGranularityAndOptionallyTheGovernor) {
   auto governed = small_world();
   policy::apply_policy(governed, parse_policy("adaptive-governed"));
   EXPECT_EQ(governed.riptide.granularity, core::Granularity::kHost);
-  // The recommended pack: staged ladder, shed-newest budget, storm
-  // backoff. Pinned so docs and BENCH_policy.json stay honest.
-  EXPECT_DOUBLE_EQ(governed.riptide.governor.rollback_retrans_fraction,
-                   0.05);
-  EXPECT_TRUE(governed.riptide.governor.staged_response);
-  EXPECT_EQ(governed.riptide.governor.budget_fairness,
-            core::BudgetFairness::kShedNewest);
-  EXPECT_EQ(governed.riptide.governor.budget_segments, 300u);
-  EXPECT_DOUBLE_EQ(governed.riptide.governor.storm_backoff_factor, 2.0);
-  EXPECT_EQ(governed.riptide.governor.max_cooldown, Time::seconds(160));
+  // The recommended pack, all six values. Pinned so docs and
+  // BENCH_policy.json stay honest.
+  const auto& pack = governed.riptide.governor;
+  EXPECT_EQ(pack.budget_segments, 300u);
+  EXPECT_EQ(pack.hysteresis_segments, 2u);
+  EXPECT_DOUBLE_EQ(pack.rollback_retrans_fraction, 0.05);
+  EXPECT_EQ(pack.min_packets, 200u);
+  EXPECT_EQ(pack.cooldown, Time::seconds(20));
+  EXPECT_TRUE(pack.staged_response);
 }
 
 TEST(PolicyInstallTest, StaticInstallerProgramsEveryRemoteGroup) {
@@ -142,7 +141,7 @@ TEST(PolicyInstallTest, OracleWindowsTrackThePathBdp) {
   EXPECT_LE(window, 256u);
   const auto& tconfig = topo.config();
   const double rtt_s = topo.base_rtt(0, 1).to_seconds();
-  const double safe = tconfig.wan_rate_bps * rtt_s / 8.0 / tconfig.host_tcp.mss +
+  const double safe = tconfig.wan_rate_bps * rtt_s / 8.0 / tcp::kMss +
                       tconfig.wan_queue_packets / 2.0;
   if (safe >= 256.0) {
     EXPECT_EQ(window, 256u);

@@ -9,7 +9,6 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "stats/summary.h"
 
 namespace riptide::sim {
 namespace {
@@ -396,9 +395,10 @@ TEST(RngTest, BernoulliApproximatesProbability) {
 
 TEST(RngTest, ExponentialMeanApproximatelyCorrect) {
   Rng rng(13);
-  stats::Summary s;
-  for (int i = 0; i < 20000; ++i) s.add(rng.exponential(2.0));
-  EXPECT_NEAR(s.mean(), 2.0, 0.1);
+  constexpr int kSamples = 20000;
+  double sum = 0.0;
+  for (int i = 0; i < kSamples; ++i) sum += rng.exponential(2.0);
+  EXPECT_NEAR(sum / kSamples, 2.0, 0.1);
 }
 
 TEST(RngTest, ExponentialRejectsNonPositiveMean) {

@@ -1,60 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 #include "stats/cdf.h"
-#include "stats/ewma.h"
 #include "stats/histogram.h"
-#include "stats/summary.h"
 
 namespace riptide::stats {
 namespace {
-
-// ------------------------------------------------------------------- Ewma
-
-TEST(EwmaTest, FirstObservationSeedsDirectly) {
-  Ewma ewma(0.9);
-  EXPECT_FALSE(ewma.has_value());
-  EXPECT_DOUBLE_EQ(ewma.update(50.0), 50.0);
-  EXPECT_TRUE(ewma.has_value());
-  EXPECT_DOUBLE_EQ(ewma.value(), 50.0);
-}
-
-TEST(EwmaTest, AlphaWeightsHistory) {
-  Ewma ewma(0.75);
-  ewma.update(100.0);
-  // 0.75 * 100 + 0.25 * 0 = 75
-  EXPECT_DOUBLE_EQ(ewma.update(0.0), 75.0);
-}
-
-TEST(EwmaTest, AlphaZeroIgnoresHistory) {
-  Ewma ewma(0.0);
-  ewma.update(100.0);
-  EXPECT_DOUBLE_EQ(ewma.update(7.0), 7.0);
-  EXPECT_DOUBLE_EQ(ewma.update(9.0), 9.0);
-}
-
-TEST(EwmaTest, AlphaOneFreezesEstimate) {
-  Ewma ewma(1.0);
-  ewma.update(42.0);
-  EXPECT_DOUBLE_EQ(ewma.update(1000.0), 42.0);
-}
-
-TEST(EwmaTest, ResetForgets) {
-  Ewma ewma(0.5);
-  ewma.update(10.0);
-  ewma.reset();
-  EXPECT_FALSE(ewma.has_value());
-  EXPECT_DOUBLE_EQ(ewma.update(20.0), 20.0);
-}
-
-TEST(EwmaTest, ConvergesTowardConstantInput) {
-  Ewma ewma(0.5);
-  ewma.update(0.0);
-  for (int i = 0; i < 40; ++i) ewma.update(80.0);
-  EXPECT_NEAR(ewma.value(), 80.0, 1e-6);
-}
 
 // -------------------------------------------------------------------- Cdf
 
@@ -141,42 +93,6 @@ TEST(CdfTest, SummaryStringMentionsCount) {
   EXPECT_NE(cdf.summary_string().find("n=1"), std::string::npos);
   Cdf empty;
   EXPECT_EQ(empty.summary_string(), "(empty)");
-}
-
-// --------------------------------------------------------------- Summary
-
-TEST(SummaryTest, BasicMoments) {
-  Summary s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(SummaryTest, SingleSampleHasZeroVariance) {
-  Summary s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(SummaryTest, EmptyThrows) {
-  Summary s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_THROW(s.mean(), std::logic_error);
-  EXPECT_THROW(s.min(), std::logic_error);
-  EXPECT_THROW(s.max(), std::logic_error);
-  EXPECT_THROW(s.variance(), std::logic_error);
-}
-
-TEST(SummaryTest, NegativeValues) {
-  Summary s;
-  s.add(-5.0);
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), -5.0);
 }
 
 // -------------------------------------------------------------- Histogram

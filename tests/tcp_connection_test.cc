@@ -277,12 +277,15 @@ TEST(TcpConnectionTest, UnreachableServiceGetsReset) {
 }
 
 TEST(TcpConnectionTest, GivesUpAfterMaxSynRetries) {
-  tcp::TcpConfig config;
-  config.max_syn_retries = 2;
-  TwoHostNet net(Time::milliseconds(10), 1e9, config);
+  TwoHostNet net(Time::milliseconds(10));
   net.filter_ab.set_drop_predicate([](const net::Packet&) { return true; });
   auto* fetch = fetch_object(net, 1000);
-  net.sim.run_until(Time::seconds(60));
+  // SYN timeouts back off 1, 2, 4, ..., 64 s from the 1 s initial RTO. The
+  // seventh, 127 s in, exceeds kMaxSynRetries (6) and gives up.
+  static_assert(TcpConnection::kMaxSynRetries == 6);
+  net.sim.run_until(Time::seconds(126));
+  EXPECT_FALSE(fetch->closed);
+  net.sim.run_until(Time::seconds(128));
   EXPECT_TRUE(fetch->closed);
   EXPECT_TRUE(fetch->reset);
 }
@@ -347,17 +350,18 @@ TEST(TcpConnectionTest, AbortSendsRstAndTearsDownPeer) {
 }
 
 TEST(TcpConnectionTest, TimeWaitStateEntered) {
-  tcp::TcpConfig config;
-  config.time_wait_duration = sim::Time::seconds(30);
-  TwoHostNet net(Time::milliseconds(10), 1e9, config);
+  TwoHostNet net(Time::milliseconds(10));
   serve_objects(net.b, 1000);
   auto* fetch = fetch_object(net, 1000);
   net.sim.run_until(Time::seconds(1));
   fetch->conn->close();
   net.sim.run_until(Time::seconds(2));
-  // Active closer should be parked in TIME_WAIT until the timer fires.
+  // Active closer should be parked in TIME_WAIT until the timer fires,
+  // kTimeWait after the close handshake finished.
   EXPECT_EQ(fetch->conn->state(), TcpState::kTimeWait);
-  net.sim.run_until(Time::seconds(40));
+  EXPECT_FALSE(fetch->closed);
+  net.sim.run_until(Time::seconds(1) + TcpConnection::kTimeWait +
+                    Time::milliseconds(100));
   EXPECT_TRUE(fetch->closed);
 }
 

@@ -177,7 +177,7 @@ TEST(HystartTest, FactoryWiresConfigFlag) {
   TcpConfig config;
   config.congestion_control = CcAlgorithm::kCubic;
   config.hystart = true;
-  auto cc = make_congestion_control(config, 10 * config.mss);
+  auto cc = make_congestion_control(config, 10 * kMss);
   auto* cubic = dynamic_cast<Cubic*>(cc.get());
   ASSERT_NE(cubic, nullptr);
   EXPECT_TRUE(cubic->hystart_enabled());

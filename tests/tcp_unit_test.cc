@@ -37,19 +37,14 @@ TEST(SegmentTest, FlagsString) {
 
 // ----------------------------------------------------------- RttEstimator
 
-RttEstimator make_estimator() {
-  return RttEstimator(Time::seconds(1), Time::milliseconds(200),
-                      Time::seconds(120));
-}
-
 TEST(RttEstimatorTest, InitialRtoBeforeSamples) {
-  auto est = make_estimator();
+  RttEstimator est;
   EXPECT_FALSE(est.has_sample());
   EXPECT_EQ(est.rto(), Time::seconds(1));
 }
 
 TEST(RttEstimatorTest, FirstSampleSeedsSrttAndVar) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::milliseconds(100));
   EXPECT_EQ(est.srtt(), Time::milliseconds(100));
   EXPECT_EQ(est.rttvar(), Time::milliseconds(50));
@@ -58,7 +53,7 @@ TEST(RttEstimatorTest, FirstSampleSeedsSrttAndVar) {
 }
 
 TEST(RttEstimatorTest, SmoothingFollowsRfc6298) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::milliseconds(100));
   est.add_sample(Time::milliseconds(200));
   // srtt = 7/8*100 + 1/8*200 = 112.5ms; rttvar = 3/4*50 + 1/4*100 = 62.5ms
@@ -67,14 +62,14 @@ TEST(RttEstimatorTest, SmoothingFollowsRfc6298) {
 }
 
 TEST(RttEstimatorTest, RtoClampedToMinimum) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::milliseconds(10));
   // 10 + 4*5 = 30 ms < min 200 ms
   EXPECT_EQ(est.rto(), Time::milliseconds(200));
 }
 
 TEST(RttEstimatorTest, BackoffDoublesRto) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::milliseconds(100));
   est.on_timeout();
   EXPECT_EQ(est.rto(), Time::milliseconds(600));
@@ -83,7 +78,7 @@ TEST(RttEstimatorTest, BackoffDoublesRto) {
 }
 
 TEST(RttEstimatorTest, FreshSampleResetsBackoff) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::milliseconds(100));
   est.on_timeout();
   est.add_sample(Time::milliseconds(100));
@@ -92,7 +87,7 @@ TEST(RttEstimatorTest, FreshSampleResetsBackoff) {
 }
 
 TEST(RttEstimatorTest, RtoCappedAtMaximum) {
-  auto est = make_estimator();
+  RttEstimator est;
   est.add_sample(Time::seconds(10));
   for (int i = 0; i < 20; ++i) est.on_timeout();
   EXPECT_EQ(est.rto(), Time::seconds(120));
@@ -363,17 +358,17 @@ TEST(CubicTest, WindowFrozenDuringRecovery) {
 TEST(CongestionControlFactoryTest, SelectsAlgorithm) {
   TcpConfig config;
   config.congestion_control = CcAlgorithm::kNewReno;
-  auto reno = make_congestion_control(config, 10 * config.mss);
+  auto reno = make_congestion_control(config, 10 * kMss);
   EXPECT_STREQ(reno->name(), "newreno");
   config.congestion_control = CcAlgorithm::kCubic;
-  auto cubic = make_congestion_control(config, 10 * config.mss);
+  auto cubic = make_congestion_control(config, 10 * kMss);
   EXPECT_STREQ(cubic->name(), "cubic");
 }
 
 TEST(CongestionControlFactoryTest, AppliesInitialWindow) {
   TcpConfig config;
-  auto cc = make_congestion_control(config, 77 * config.mss);
-  EXPECT_EQ(cc->cwnd_bytes(), 77u * config.mss);
+  auto cc = make_congestion_control(config, 77 * kMss);
+  EXPECT_EQ(cc->cwnd_bytes(), 77u * kMss);
 }
 
 }  // namespace

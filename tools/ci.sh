@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# CI entry point: build + test the two configurations that matter.
+# CI entry point: build + test the three configurations that matter.
 #
 #   1. Release        — the configuration benches and figure reproductions
 #                       use; catches optimizer-dependent breakage.
 #   2. Debug+ASan/UBSan — memory and UB errors in the event-queue slab,
 #                       the SBO callback, and the thread-pool fan-out.
+#   3. RelWithDebInfo+TSan — data races in the suites that start threads
+#                       through ParallelRunner or parallel_for.
 #
 # Usage: tools/ci.sh [jobs]   (default: nproc)
 
@@ -33,6 +35,22 @@ run_config build-ci-release -DCMAKE_BUILD_TYPE=Release
 run_config build-ci-asan \
   -DCMAKE_BUILD_TYPE=Debug \
   -DRIPTIDE_SANITIZE=ON
+
+# ThreadSanitizer over the threaded suites only: the runner and task pool,
+# the determinism sweeps across thread counts, the per-thread trace sinks
+# and the CC thread-count check. The flags go straight to the compiler and
+# linker, so the build needs no CMake option.
+echo "==== configure build-ci-tsan ===="
+cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+echo "==== build build-ci-tsan ===="
+TSAN_SUITES=(runner_test determinism_test trace_test cc_test)
+cmake --build build-ci-tsan -j "$JOBS" --target "${TSAN_SUITES[@]}"
+echo "==== test build-ci-tsan ===="
+for suite in "${TSAN_SUITES[@]}"; do
+  "./build-ci-tsan/tests/$suite"
+done
 
 # Repo benchmark selftest: builds perfbench from src/ (into .bench_build/),
 # runs its selftest and checks its metric names against BENCHMARK.json, so

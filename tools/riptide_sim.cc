@@ -546,7 +546,6 @@ void print_summary(const cdn::Experiment& exp) {
   if (!exp.agents().empty()) {
     std::uint64_t polls = 0, routes = 0, expired = 0;
     std::uint64_t scaledowns = 0, withdrawals = 0, rollbacks = 0;
-    std::uint64_t sheds = 0, storms = 0;
     std::size_t entries = 0;
     for (const auto& agent : exp.agents()) {
       polls += agent->stats().polls;
@@ -556,23 +555,18 @@ void print_summary(const cdn::Experiment& exp) {
       scaledowns += agent->stats().governor_stage_scaledowns;
       withdrawals += agent->stats().governor_stage_withdrawals;
       rollbacks += agent->stats().governor_rollbacks;
-      sheds += agent->stats().governor_budget_sheds;
-      storms += agent->stats().governor_storm_escalations;
     }
     std::printf("\nagents: %zu, polls: %llu, routes set: %llu, expired: "
                 "%llu, live table entries: %zu\n",
                 exp.agents().size(), static_cast<unsigned long long>(polls),
                 static_cast<unsigned long long>(routes),
                 static_cast<unsigned long long>(expired), entries);
-    if (scaledowns + withdrawals + rollbacks + sheds > 0) {
+    if (scaledowns + withdrawals + rollbacks > 0) {
       std::printf("governor: %llu scale-downs, %llu selective withdrawals, "
-                  "%llu rollbacks (%llu storm escalations), "
-                  "%llu budget sheds\n",
+                  "%llu rollbacks\n",
                   static_cast<unsigned long long>(scaledowns),
                   static_cast<unsigned long long>(withdrawals),
-                  static_cast<unsigned long long>(rollbacks),
-                  static_cast<unsigned long long>(storms),
-                  static_cast<unsigned long long>(sheds));
+                  static_cast<unsigned long long>(rollbacks));
     }
 
     std::printf("\nlearned windows at %s:\n",
