@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <vector>
 
 #include "sim/time.h"
 #include "stats/cdf.h"
@@ -41,13 +41,19 @@ struct CwndSample {
 
 // Accumulates flow completions and window samples across an experiment and
 // slices them into the CDFs the paper's figures plot.
+//
+// Both logs grow linearly with simulated time and are only ever appended
+// to, so they live in deques: growth adds fixed-size chunks instead of
+// doubling one buffer (whose unused tail can be half the log), never
+// copies a record, and keeps every earlier record at its address.
+// Readers iterate, index or take the size.
 class MetricsCollector {
  public:
   void record_flow(const FlowRecord& record) { flows_.push_back(record); }
   void record_cwnd(const CwndSample& sample) { cwnd_samples_.push_back(sample); }
 
-  const std::vector<FlowRecord>& flows() const { return flows_; }
-  const std::vector<CwndSample>& cwnd_samples() const { return cwnd_samples_; }
+  const std::deque<FlowRecord>& flows() const { return flows_; }
+  const std::deque<CwndSample>& cwnd_samples() const { return cwnd_samples_; }
 
   // Completion-time CDF (milliseconds) over flows matching `predicate`.
   stats::Cdf completion_cdf(
@@ -59,8 +65,8 @@ class MetricsCollector {
   std::size_t flow_count() const { return flows_.size(); }
 
  private:
-  std::vector<FlowRecord> flows_;
-  std::vector<CwndSample> cwnd_samples_;
+  std::deque<FlowRecord> flows_;
+  std::deque<CwndSample> cwnd_samples_;
 };
 
 }  // namespace riptide::cdn

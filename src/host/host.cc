@@ -48,26 +48,30 @@ std::uint16_t Host::allocate_port() {
 tcp::TcpConnection& Host::create_connection(
     const tcp::FourTuple& tuple, const tcp::TcpConfig& config,
     tcp::TcpConnection::Callbacks callbacks) {
-  auto conn = std::make_unique<tcp::TcpConnection>(
-      sim_, config, tuple, &Host::send_segment_thunk, this,
-      std::move(callbacks));
-  // Host-owned cleanup; survives any later set_callbacks by the app.
-  conn->set_teardown_hook([this, tuple] { schedule_removal(tuple); });
-  auto [it, inserted] = connections_.emplace(tuple, std::move(conn));
+  auto [it, inserted] =
+      connections_.try_emplace(tuple, sim_, config, tuple,
+                               &Host::send_segment_thunk, this,
+                               std::move(callbacks));
   if (!inserted) {
     throw std::logic_error("Host::create_connection: tuple already in use: " +
                            tuple.to_string());
   }
-  return *it->second;
+  // Host-owned cleanup; survives any later set_callbacks by the app.
+  it->second.set_teardown_hook(&Host::teardown_thunk);
+  return it->second;
+}
+
+void Host::teardown_thunk(void* ctx, const tcp::FourTuple& tuple) {
+  static_cast<Host*>(ctx)->schedule_removal(tuple);
 }
 
 void Host::schedule_removal(const tcp::FourTuple& tuple) {
   // Deferred: the connection object is still on the call stack.
   sim_.schedule(sim::Time::zero(), [this, tuple] {
     const auto it = connections_.find(tuple);
-    if (it != connections_.end() && it->second->closed()) {
-      closed_retransmissions_ += it->second->stats().retransmissions;
-      closed_timeouts_ += it->second->stats().timeouts;
+    if (it != connections_.end() && it->second.closed()) {
+      closed_retransmissions_ += it->second.stats().retransmissions;
+      closed_timeouts_ += it->second.stats().timeouts;
       connections_.erase(it);
     }
   });
@@ -76,7 +80,7 @@ void Host::schedule_removal(const tcp::FourTuple& tuple) {
 std::uint64_t Host::total_retransmissions() const {
   std::uint64_t total = closed_retransmissions_;
   for (const auto& [tuple, conn] : connections_) {
-    total += conn->stats().retransmissions;
+    total += conn.stats().retransmissions;
   }
   return total;
 }
@@ -84,7 +88,7 @@ std::uint64_t Host::total_retransmissions() const {
 std::uint64_t Host::total_timeouts() const {
   std::uint64_t total = closed_timeouts_;
   for (const auto& [tuple, conn] : connections_) {
-    total += conn->stats().timeouts;
+    total += conn.stats().timeouts;
   }
   return total;
 }
@@ -161,7 +165,7 @@ void Host::receive(const net::Packet& packet) {
                              seg->src_port};
   const auto it = connections_.find(tuple);
   if (it != connections_.end()) {
-    it->second->on_segment(*seg);
+    it->second.on_segment(*seg);
     return;
   }
 
@@ -188,12 +192,12 @@ std::vector<SocketInfo> Host::socket_stats() const {
   for (const auto& [tuple, conn] : connections_) {
     SocketInfo info;
     info.tuple = tuple;
-    info.state = conn->state();
-    info.cwnd_segments = conn->cwnd_segments();
-    info.bytes_acked = conn->bytes_acked();
-    info.bytes_in_flight = conn->bytes_in_flight();
-    info.retransmissions = conn->stats().retransmissions;
-    info.segments_sent = conn->stats().segments_sent;
+    info.state = conn.state();
+    info.cwnd_segments = conn.cwnd_segments();
+    info.bytes_acked = conn.bytes_acked();
+    info.bytes_in_flight = conn.bytes_in_flight();
+    info.retransmissions = conn.stats().retransmissions;
+    info.segments_sent = conn.stats().segments_sent;
     out.push_back(info);
   }
   return out;
@@ -201,7 +205,7 @@ std::vector<SocketInfo> Host::socket_stats() const {
 
 tcp::TcpConnection* Host::find_connection(const tcp::FourTuple& tuple) {
   const auto it = connections_.find(tuple);
-  return it == connections_.end() ? nullptr : it->second.get();
+  return it == connections_.end() ? nullptr : &it->second;
 }
 
 }  // namespace riptide::host

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -105,9 +104,11 @@ class Host : public net::PacketSink {
  private:
   tcp::TcpConfig effective_config(net::Ipv4Address peer,
                                   const tcp::TcpConfig& base) const;
-  // TcpConnection::SegmentSender target: `ctx` is the owning Host.
+  // TcpConnection::SegmentSender and TeardownHook targets: `ctx` is the
+  // owning Host.
   static void send_segment_thunk(void* ctx, const tcp::FourTuple& tuple,
                                  tcp::SegmentRef seg);
+  static void teardown_thunk(void* ctx, const tcp::FourTuple& tuple);
   void send_segment(const tcp::FourTuple& tuple, tcp::SegmentRef seg);
   void send_rst_for(const net::Packet& packet, const tcp::Segment& seg);
   tcp::TcpConnection& create_connection(const tcp::FourTuple& tuple,
@@ -123,8 +124,12 @@ class Host : public net::PacketSink {
   RoutingTable routes_;
   net::PacketSink* uplink_ = nullptr;
 
-  std::unordered_map<tcp::FourTuple, std::unique_ptr<tcp::TcpConnection>,
-                     tcp::FourTupleHash>
+  // Each connection is built in place in its table node (one allocation
+  // per socket, at a stable address). Iteration order is the row order of
+  // socket_stats(), which the agent's per-destination float sums and the
+  // golden fingerprint's cwnd samples depend on; it is a function of the
+  // hash and the insert/erase sequence alone.
+  std::unordered_map<tcp::FourTuple, tcp::TcpConnection, tcp::FourTupleHash>
       connections_;
   std::unordered_map<std::uint16_t, AcceptHook> listeners_;
   std::uint16_t next_ephemeral_port_ = 32768;

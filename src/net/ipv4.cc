@@ -40,19 +40,6 @@ Prefix Prefix::parse(const std::string& text) {
   return Prefix(addr, len);
 }
 
-std::uint32_t Prefix::mask() const {
-  if (length_ == 0) return 0;
-  return ~std::uint32_t{0} << (32 - length_);
-}
-
-bool Prefix::contains(Ipv4Address a) const {
-  return (a.value() & mask()) == address_.value();
-}
-
-bool Prefix::contains(const Prefix& other) const {
-  return other.length_ >= length_ && contains(other.address_);
-}
-
 std::string Prefix::to_string() const {
   return address_.to_string() + "/" + std::to_string(length_);
 }

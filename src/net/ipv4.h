@@ -49,10 +49,17 @@ class Prefix {
 
   Ipv4Address address() const { return address_; }
   int length() const { return length_; }
-  std::uint32_t mask() const;
+  // Inline: every forwarded packet tests up to one prefix per route.
+  std::uint32_t mask() const {
+    return length_ == 0 ? 0 : ~std::uint32_t{0} << (32 - length_);
+  }
 
-  bool contains(Ipv4Address a) const;
-  bool contains(const Prefix& other) const;
+  bool contains(Ipv4Address a) const {
+    return (a.value() & mask()) == address_.value();
+  }
+  bool contains(const Prefix& other) const {
+    return other.length_ >= length_ && contains(other.address_);
+  }
 
   std::string to_string() const;
 

@@ -11,11 +11,12 @@ void Router::add_route(const Prefix& prefix, PacketSink& next_hop) {
       return;
     }
   }
-  routes_.push_back(Route{prefix, &next_hop});
-  std::stable_sort(routes_.begin(), routes_.end(),
-                   [](const Route& a, const Route& b) {
-                     return a.prefix.length() > b.prefix.length();
-                   });
+  // After every route at least as long, so equal lengths keep insertion
+  // order.
+  const auto at = std::upper_bound(
+      routes_.begin(), routes_.end(), prefix.length(),
+      [](int length, const Route& r) { return length > r.prefix.length(); });
+  routes_.insert(at, Route{prefix, &next_hop});
 }
 
 bool Router::remove_route(const Prefix& prefix) {

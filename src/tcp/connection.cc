@@ -47,7 +47,9 @@ TcpConnection::TcpConnection(sim::Simulator& sim, TcpConfig config,
       sender_(sender),
       sender_ctx_(sender_ctx),
       callbacks_(std::move(callbacks)),
-      cc_(make_congestion_control(config_, config_.initial_cwnd_bytes())) {}
+      cc_(make_congestion_control(config_, config_.initial_cwnd_bytes())) {
+  if (config_.sack) sacked_ = std::make_unique<SackScoreboard>();
+}
 
 TcpConnection::~TcpConnection() {
   cancel_rto();
@@ -188,7 +190,7 @@ void TcpConnection::teardown(bool reset) {
   time_wait_timer_.cancel();
   pacing_timer_.cancel();
   if (callbacks_.on_closed) callbacks_.on_closed(reset);
-  if (teardown_hook_) teardown_hook_();
+  if (teardown_hook_ != nullptr) teardown_hook_(sender_ctx_, tuple_);
 }
 
 // ------------------------------------------------------------ segment I/O
@@ -211,59 +213,56 @@ SegmentRef TcpConnection::make_segment() const {
 
 void TcpConnection::merge_sack_blocks(const Segment& seg) {
   if (!config_.sack) return;
+  SackScoreboard& sacked = *sacked_;
   for (auto [start, end] : seg.sack_blocks) {
     start = std::max(start, snd_una_);
     if (end <= start) continue;
-    auto it = sacked_.lower_bound(start);
-    if (it != sacked_.begin()) {
+    auto it = sacked.lower_bound(start);
+    if (it != sacked.begin()) {
       auto prev = std::prev(it);
       if (prev->second >= start) {
         start = prev->first;
         end = std::max(end, prev->second);
-        it = sacked_.erase(prev);
+        it = sacked.erase(prev);
       }
     }
-    while (it != sacked_.end() && it->first <= end) {
+    while (it != sacked.end() && it->first <= end) {
       end = std::max(end, it->second);
-      it = sacked_.erase(it);
+      it = sacked.erase(it);
     }
-    sacked_.emplace(start, end);
+    sacked.emplace(start, end);
   }
 }
 
 void TcpConnection::purge_sacked_below(std::uint64_t seq) {
-  while (!sacked_.empty()) {
-    const auto it = sacked_.begin();
+  if (!config_.sack) return;
+  SackScoreboard& sacked = *sacked_;
+  while (!sacked.empty()) {
+    const auto it = sacked.begin();
     if (it->second <= seq) {
-      sacked_.erase(it);
+      sacked.erase(it);
       continue;
     }
     if (it->first < seq) {
       const auto end = it->second;
-      sacked_.erase(it);
-      sacked_.emplace(seq, end);
+      sacked.erase(it);
+      sacked.emplace(seq, end);
     }
     break;
   }
 }
 
 bool TcpConnection::is_sacked_at(std::uint64_t seq) const {
-  const auto it = sacked_.upper_bound(seq);
-  if (it == sacked_.begin()) return false;
+  const auto it = sacked_->upper_bound(seq);
+  if (it == sacked_->begin()) return false;
   return std::prev(it)->second > seq;
 }
 
 std::uint64_t TcpConnection::next_hole(std::uint64_t from) const {
-  const auto it = sacked_.upper_bound(from);
-  if (it == sacked_.begin()) return from;
+  const auto it = sacked_->upper_bound(from);
+  if (it == sacked_->begin()) return from;
   const auto prev = std::prev(it);
   return prev->second > from ? prev->second : from;
-}
-
-std::uint64_t TcpConnection::sacked_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [s, e] : sacked_) total += e - s;
-  return total;
 }
 
 void TcpConnection::emit(SegmentRef seg) {
@@ -378,8 +377,8 @@ void TcpConnection::try_send() {
     auto len_bytes =
         std::min<std::uint64_t>(kMss, data_end_seq() - snd_nxt_);
     if (config_.sack) {
-      const auto it = sacked_.lower_bound(snd_nxt_ + 1);
-      if (it != sacked_.end() && it->first < snd_nxt_ + len_bytes) {
+      const auto it = sacked_->lower_bound(snd_nxt_ + 1);
+      if (it != sacked_->end() && it->first < snd_nxt_ + len_bytes) {
         len_bytes = it->first - snd_nxt_;
       }
     }
@@ -453,8 +452,8 @@ void TcpConnection::retransmit_front() {
         std::min<std::uint64_t>(kMss, data_end_seq() - seq);
     if (config_.sack) {
       // Do not run into the next peer-held block.
-      const auto it = sacked_.lower_bound(seq + 1);
-      if (it != sacked_.end() && it->first < seq + len) {
+      const auto it = sacked_->lower_bound(seq + 1);
+      if (it != sacked_->end() && it->first < seq + len) {
         len = it->first - seq;
       }
     }

@@ -66,6 +66,10 @@ class TcpConnection {
   // tuple, so the context is just the owning host.
   using SegmentSender = void (*)(void* ctx, const FourTuple& tuple,
                                  SegmentRef seg);
+  // Owner cleanup on reaching CLOSED, called with the sender's context and
+  // this connection's tuple: a plain pointer like SegmentSender, so the
+  // hook needs no per-connection capture of its own.
+  using TeardownHook = void (*)(void* ctx, const FourTuple& tuple);
 
   // SYN retransmissions before an active open gives up (Linux's
   // tcp_syn_retries), and TIME_WAIT, shortened so simulations recycle port
@@ -107,9 +111,7 @@ class TcpConnection {
   // connection reaches CLOSED. Reserved for the owning host's cleanup and
   // deliberately separate from Callbacks so set_callbacks cannot displace
   // it.
-  void set_teardown_hook(std::function<void()> hook) {
-    teardown_hook_ = std::move(hook);
-  }
+  void set_teardown_hook(TeardownHook hook) { teardown_hook_ = hook; }
 
   // Queues `bytes` of application data for transmission. Legal from
   // kSynSent onward until close() is called.
@@ -204,7 +206,7 @@ class TcpConnection {
   SegmentSender sender_;
   void* sender_ctx_ = nullptr;
   Callbacks callbacks_;
-  std::function<void()> teardown_hook_;
+  TeardownHook teardown_hook_ = nullptr;
 
   TcpState state_ = TcpState::kClosed;
   std::unique_ptr<CongestionControl> cc_;
@@ -225,15 +227,16 @@ class TcpConnection {
   std::uint32_t retries_ = 0;
 
   // SACK scoreboard: disjoint peer-held ranges strictly above snd_una_
-  // (start -> end). Maintained only when config_.sack is set.
-  std::map<std::uint64_t, std::uint64_t> sacked_;
+  // (start -> end). Allocated only when config_.sack is set (SACK is off
+  // by default), and read only under that flag.
+  using SackScoreboard = std::map<std::uint64_t, std::uint64_t>;
+  std::unique_ptr<SackScoreboard> sacked_;
   void merge_sack_blocks(const Segment& seg);
   void purge_sacked_below(std::uint64_t seq);
   bool is_sacked_at(std::uint64_t seq) const;
   // First sequence >= `from` the peer is not known to hold, and the length
   // of the hole (capped by mss / data end / next sacked block).
   std::uint64_t next_hole(std::uint64_t from) const;
-  std::uint64_t sacked_bytes() const;
 
   // RTT probing (Karn's rule: any retransmission invalidates the probe).
   std::optional<std::uint64_t> probe_seq_end_;
@@ -264,7 +267,9 @@ class TcpConnection {
 
  public:
   // Scoreboard introspection for tests/diagnostics.
-  std::size_t sack_scoreboard_intervals() const { return sacked_.size(); }
+  std::size_t sack_scoreboard_intervals() const {
+    return sacked_ ? sacked_->size() : 0;
+  }
 };
 
 }  // namespace riptide::tcp

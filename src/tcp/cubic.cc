@@ -9,7 +9,7 @@ Cubic::Cubic(std::uint32_t mss, std::uint64_t initial_cwnd_bytes, bool hystart)
     : mss_(mss),
       initial_cwnd_(initial_cwnd_bytes),
       cwnd_(initial_cwnd_bytes) {
-  if (hystart) hystart_.emplace();
+  if (hystart) hystart_ = std::make_unique<Hystart>();
 }
 
 double Cubic::w_cubic_segments(double t_seconds) const {

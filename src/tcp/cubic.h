@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "tcp/congestion_control.h"
@@ -39,7 +40,7 @@ class Cubic : public CongestionControl {
     return s;
   }
 
-  bool hystart_enabled() const { return hystart_.has_value(); }
+  bool hystart_enabled() const { return hystart_ != nullptr; }
 
  private:
   void multiplicative_decrease(std::uint64_t bytes_in_flight);
@@ -60,7 +61,8 @@ class Cubic : public CongestionControl {
   sim::Time last_rtt_ = sim::Time::milliseconds(100);  // fallback until sampled
   bool in_recovery_ = false;
 
-  std::optional<Hystart> hystart_;
+  // Allocated only when HyStart is on (it is off by default).
+  std::unique_ptr<Hystart> hystart_;
   CcSignal signal_ = CcSignal::kNone;
 };
 

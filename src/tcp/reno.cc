@@ -7,7 +7,7 @@ namespace riptide::tcp {
 NewReno::NewReno(std::uint32_t mss, std::uint64_t initial_cwnd_bytes,
                  bool hystart)
     : mss_(mss), initial_cwnd_(initial_cwnd_bytes), cwnd_(initial_cwnd_bytes) {
-  if (hystart) hystart_.emplace();
+  if (hystart) hystart_ = std::make_unique<Hystart>();
 }
 
 void NewReno::on_ack(const AckEvent& ev) {

@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <memory>
 
 #include "tcp/congestion_control.h"
 #include "tcp/hystart.h"
@@ -34,7 +34,7 @@ class NewReno : public CongestionControl {
     return s;
   }
 
-  bool hystart_enabled() const { return hystart_.has_value(); }
+  bool hystart_enabled() const { return hystart_ != nullptr; }
 
  private:
   std::uint32_t mss_;
@@ -44,7 +44,8 @@ class NewReno : public CongestionControl {
   std::uint64_t ca_acc_ = 0;  // bytes acked toward the next +1 MSS in CA
   bool in_recovery_ = false;
   sim::Time last_rtt_ = sim::Time::milliseconds(100);  // HyStart round length
-  std::optional<Hystart> hystart_;
+  // Allocated only when HyStart is on (it is off by default).
+  std::unique_ptr<Hystart> hystart_;
   CcSignal signal_ = CcSignal::kNone;
 };
 

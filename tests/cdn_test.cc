@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cdn/experiment.h"
 #include "cdn/file_size_dist.h"
 #include "cdn/geo.h"
@@ -169,6 +172,38 @@ TEST(MetricsTest, CwndCdfPerPop) {
   EXPECT_EQ(metrics.cwnd_cdf(1).count(), 1u);
   EXPECT_EQ(metrics.cwnd_cdf(-1).count(), 3u);
   EXPECT_DOUBLE_EQ(metrics.cwnd_cdf(0).max(), 20.0);
+}
+
+TEST(MetricsTest, LogsKeepEveryRecordInPlaceAndInOrder) {
+  // Appending never moves an earlier record, and iteration and indexing
+  // both follow insertion order, however long the logs grow.
+  constexpr std::size_t kRecords = 20'000;
+  MetricsCollector metrics;
+  std::vector<const FlowRecord*> flow_at;
+  std::vector<const CwndSample*> sample_at;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    metrics.record_flow({0, 1, i, Time::zero(), Time::milliseconds(1), true,
+                         10.0});
+    metrics.record_cwnd({0, static_cast<std::uint32_t>(i), Time::zero()});
+    flow_at.push_back(&metrics.flows().back());
+    sample_at.push_back(&metrics.cwnd_samples().back());
+  }
+  ASSERT_EQ(metrics.flows().size(), kRecords);
+  ASSERT_EQ(metrics.cwnd_samples().size(), kRecords);
+  std::size_t i = 0;
+  for (const FlowRecord& flow : metrics.flows()) {
+    ASSERT_EQ(&flow, flow_at[i]);
+    ASSERT_EQ(flow.object_bytes, i);
+    ++i;
+  }
+  i = 0;
+  for (const CwndSample& sample : metrics.cwnd_samples()) {
+    ASSERT_EQ(&sample, sample_at[i]);
+    ASSERT_EQ(sample.cwnd_segments, i);
+    ++i;
+  }
+  EXPECT_EQ(&metrics.flows()[kRecords / 2], flow_at[kRecords / 2]);
+  EXPECT_EQ(&metrics.cwnd_samples()[kRecords / 2], sample_at[kRecords / 2]);
 }
 
 // --------------------------------------------------------------- topology

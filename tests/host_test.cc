@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "host/host.h"
 #include "host/routing_table.h"
+#include "tcp/cubic.h"
 #include "test_util.h"
 
 namespace riptide::host {
@@ -9,6 +12,15 @@ namespace {
 
 using riptide::test::TwoHostNet;
 using sim::Time;
+
+// What one socket costs: a paper world keeps about 21.5k of them alive,
+// each a TcpConnection in its host's table node plus its controller (Cubic
+// by default). Pinned so that a member added later shows its per-socket
+// cost in review. The sizes are libstdc++'s on a 64-bit target.
+#if defined(__GLIBCXX__) && INTPTR_MAX == INT64_MAX
+static_assert(sizeof(tcp::TcpConnection) == 576);
+static_assert(sizeof(tcp::Cubic) == 112);
+#endif
 
 // ------------------------------------------------------------ RoutingTable
 
@@ -219,6 +231,26 @@ TEST(HostTest, FindConnectionByTuple) {
   tcp::FourTuple missing = conn.tuple();
   missing.remote_port = 9999;
   EXPECT_EQ(net.a.find_connection(missing), nullptr);
+}
+
+TEST(HostTest, ConnectionKeepsItsAddressWhileTheTableRehashes) {
+  // Each connection lives in its table node. Growing the table to 301
+  // entries rehashes it several times, which moves no node: a reference
+  // taken at connect stays the connection that find_connection returns,
+  // and it still carries a transfer to the end.
+  TwoHostNet net(Time::milliseconds(10));
+  net.b.listen(80, [](tcp::TcpConnection&) {});
+  auto& held = net.a.connect(net.b.address(), 80, {});
+  const tcp::FourTuple tuple = held.tuple();
+  for (int i = 0; i < 300; ++i) net.a.connect(net.b.address(), 80, {});
+  ASSERT_EQ(net.a.connection_count(), 301u);
+  EXPECT_EQ(net.a.find_connection(tuple), &held);
+
+  held.send(100'000);
+  net.sim.run_until(Time::seconds(2));
+  EXPECT_EQ(net.b.connection_count(), 301u);
+  EXPECT_EQ(net.a.find_connection(tuple), &held);
+  EXPECT_EQ(held.bytes_acked(), 100'000u);
 }
 
 TEST(HostTest, ClosedConnectionsLeaveSocketStats) {

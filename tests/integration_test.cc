@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "bench_util.h"
 #include "cdn/experiment.h"
 #include "cdn/pops.h"
+#include "stats/perf.h"
 
 namespace riptide::cdn {
 namespace {
@@ -183,6 +185,35 @@ TEST(ExperimentIntegrationTest, LossyWanStillCompletesProbes) {
   Experiment exp(config);
   exp.run();
   EXPECT_GT(exp.metrics().flows().size(), 250u);
+}
+
+TEST(PaperWorldSteadyStateTest, NoSlabRefillsAndFlatSocketCountOnceWarm) {
+  // The paper world on its first 8 PoPs. Past warm-up (t = 60 s) the
+  // segment pool recycles every segment, so the run takes no further slab
+  // from the heap, and sockets close as fast as they open: the live total
+  // stays within 10 % of its t = 60 s value to the end (120 s).
+  ExperimentConfig config = bench::paper_world(/*riptide_enabled=*/true);
+  config.pop_specs.erase(config.pop_specs.begin() + 8, config.pop_specs.end());
+  config.duration = Time::seconds(120);
+  Experiment exp(config);
+  const auto live_sockets = [&exp] {
+    std::size_t total = 0;
+    for (const host::Host* host : exp.topology().all_hosts()) {
+      total += host->connection_count();
+    }
+    return total;
+  };
+
+  exp.simulator().run_until(Time::seconds(60));
+  const std::uint64_t heap_allocs = perf::local().segment_heap_allocs;
+  const std::size_t warm = live_sockets();
+  ASSERT_GT(warm, 0u);
+  for (int t = 61; t <= 120; ++t) {
+    exp.simulator().run_until(Time::seconds(t));
+    const double ratio = static_cast<double>(live_sockets()) / warm;
+    EXPECT_NEAR(ratio, 1.0, 0.10) << "t = " << t << " s, warm = " << warm;
+  }
+  EXPECT_EQ(perf::local().segment_heap_allocs, heap_allocs);
 }
 
 }  // namespace

@@ -231,6 +231,22 @@ TEST(RouterTest, LongestPrefixMatchWins) {
   EXPECT_EQ(router.forwarded(), 2u);
 }
 
+TEST(RouterTest, LongestMatchWinsWhateverTheInsertionOrder) {
+  // add_route keeps the table longest-first as routes arrive in any
+  // order: at the back, at the front and in between.
+  Router router("r");
+  CollectingSink any, wide, narrow, narrowest;
+  router.add_route(Prefix(Ipv4Address(10, 1, 0, 0), 16), narrow);
+  router.add_route(Prefix(Ipv4Address(0), 0), any);
+  router.add_route(Prefix(Ipv4Address(10, 1, 2, 0), 24), narrowest);
+  router.add_route(Prefix(Ipv4Address(10, 0, 0, 0), 8), wide);
+  EXPECT_EQ(router.route_count(), 4u);
+  EXPECT_EQ(router.lookup(Ipv4Address(10, 1, 2, 3)), &narrowest);
+  EXPECT_EQ(router.lookup(Ipv4Address(10, 1, 9, 9)), &narrow);
+  EXPECT_EQ(router.lookup(Ipv4Address(10, 9, 9, 9)), &wide);
+  EXPECT_EQ(router.lookup(Ipv4Address(11, 0, 0, 1)), &any);
+}
+
 TEST(RouterTest, NoRouteDrops) {
   Router router("r");
   Packet p = make_packet(100);

@@ -65,6 +65,13 @@ echo "==== chaos campaign smoke (Release) ===="
 ./build-ci-release/tools/riptide_sim --chaos 48 --chaos-seed 1 \
   --chaos-out build-ci-release
 
+# Resident memory (informational, never a gate): peak RSS of a
+# paper-scale run, 34 PoPs over 240 s simulated (about 11 s).
+echo "==== resident memory (Release) ===="
+python3 tools/max_rss.py -- ./build-ci-release/tools/riptide_sim --pops 34 \
+  --duration 240 --seed 1 --wan-loss 0.001 --probe-interval 5 --interval 1 \
+  --ttl 90 --cmax 100 | tail -n 1 || true
+
 # Event-queue bench diff (informational, never a gate): one JSONL row per
 # workload, diffed against the checked-in wheel-vs-heap baseline.
 echo "==== event-queue throughput (Release) ===="
