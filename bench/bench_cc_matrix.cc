@@ -48,51 +48,6 @@ constexpr Regime kRegimes[] = {
     {"bbr", tcp::RouteCc::kBbrLite},
 };
 
-// Merged completion-time CDF (ms) across all seeds of one sweep arm.
-stats::Cdf merged_cdf(const std::vector<const cdn::Experiment*>& runs,
-                      int src, std::uint64_t size, int dst) {
-  stats::Cdf merged;
-  for (const cdn::Experiment* run : runs) {
-    merged.add_all(run->probe_cdf(src, size, dst).sorted_samples());
-  }
-  return merged;
-}
-
-// Per-destination percentile gains averaged across destinations (the
-// paper's Fig 15/16 view), keyed by percentile.
-std::map<double, double> gain_by_percentile(
-    const std::vector<const cdn::Experiment*>& treatment,
-    const std::vector<const cdn::Experiment*>& control, int src,
-    std::uint64_t size, std::size_t pop_count) {
-  std::map<double, std::pair<double, int>> accum;  // pct -> (sum, n)
-  for (std::size_t dst = 0; dst < pop_count; ++dst) {
-    if (static_cast<int>(dst) == src) continue;
-    const auto with = merged_cdf(treatment, src, size, static_cast<int>(dst));
-    const auto without = merged_cdf(control, src, size, static_cast<int>(dst));
-    if (with.count() < 10 || without.count() < 10) continue;
-    for (const auto& gain : cdn::percentile_gains(without, with, 5.0)) {
-      auto& slot = accum[gain.percentile];
-      slot.first += gain.gain_fraction;
-      ++slot.second;
-    }
-  }
-  std::map<double, double> averaged;
-  for (const auto& [pct, slot] : accum) {
-    averaged[pct] = slot.second > 0 ? slot.first / slot.second : 0.0;
-  }
-  return averaged;
-}
-
-// With --json the tables go to stderr so stdout stays valid JSONL for
-// tools/bench_diff.py (the bench_policy_zoo convention).
-void print_gain_table(std::FILE* out, const std::map<double, double>& gains) {
-  std::fprintf(out, "%-12s", "percentile:");
-  for (const auto& [pct, _] : gains) std::fprintf(out, " %5.0f", pct);
-  std::fprintf(out, "\n%-12s", "gain %:");
-  for (const auto& [_, g] : gains) std::fprintf(out, " %5.1f", 100.0 * g);
-  std::fprintf(out, "\n");
-}
-
 double gain_at(const std::map<double, double>& gains, double pct) {
   const auto it = gains.find(pct);
   return it == gains.end() ? 0.0 : 100.0 * it->second;
@@ -137,6 +92,8 @@ int main(int argc, char** argv) {
   }
   const auto opt = bench::parse_bench_options(static_cast<int>(args.size()),
                                               args.data());
+  // With --json the tables go to stderr so stdout stays valid JSONL for
+  // tools/bench_diff.py (the bench_policy_zoo convention).
   std::FILE* hum = opt.json ? stderr : stdout;
 
   const sim::Time window =
@@ -194,13 +151,14 @@ int main(int argc, char** argv) {
                  "===\n",
                  regime.name, opt.seeds.size(), quick ? "quick" : "full");
     for (std::uint64_t size : {50'000u, 100'000u}) {
-      out.gains[size] = gain_by_percentile(treatment, control, eu, size, pops);
+      out.gains[size] =
+          bench::gain_by_percentile(treatment, control, eu, size, pops);
       out.pooled_with[size] = pooled_cdf(treatment, eu, size, pops);
       out.pooled_without[size] = pooled_cdf(control, eu, size, pops);
       std::fprintf(hum,
                    "%llu KB probes from lon, averaged across destinations:\n",
                    static_cast<unsigned long long>(size / 1000));
-      print_gain_table(hum, out.gains[size]);
+      bench::print_gain_table(hum, out.gains[size]);
     }
     std::fprintf(hum, "\n");
   }

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -31,46 +30,6 @@ using namespace riptide;
 
 namespace {
 
-// Merged completion-time CDF across all seeds of one sweep arm.
-stats::Cdf merged_cdf(const std::vector<const cdn::Experiment*>& runs,
-                      int src, std::uint64_t size, int dst) {
-  stats::Cdf merged;
-  for (const cdn::Experiment* run : runs) {
-    merged.add_all(run->probe_cdf(src, size, dst).sorted_samples());
-  }
-  return merged;
-}
-
-// Average the per-destination percentile gains, as the paper does.
-void print_gain_by_percentile(
-    const std::vector<const cdn::Experiment*>& treatment,
-    const std::vector<const cdn::Experiment*>& control, int src,
-    std::uint64_t size, std::size_t pop_count) {
-  std::map<double, std::pair<double, int>> accum;  // pct -> (sum, n)
-  for (std::size_t dst = 0; dst < pop_count; ++dst) {
-    if (static_cast<int>(dst) == src) continue;
-    // All probes of this size (the paper's view): reused probes run at
-    // grown windows in both systems and pin the low percentiles; fresh
-    // ones carry the gains.
-    const auto with = merged_cdf(treatment, src, size, static_cast<int>(dst));
-    const auto without = merged_cdf(control, src, size, static_cast<int>(dst));
-    if (with.count() < 10 || without.count() < 10) continue;
-    for (const auto& gain : cdn::percentile_gains(without, with, 5.0)) {
-      auto& slot = accum[gain.percentile];
-      slot.first += gain.gain_fraction;
-      ++slot.second;
-    }
-  }
-  std::printf("%-12s", "percentile:");
-  for (const auto& [pct, _] : accum) std::printf(" %5.0f", pct);
-  std::printf("\n%-12s", "gain %:");
-  for (const auto& [_, slot] : accum) {
-    std::printf(" %5.1f", slot.second > 0 ? 100.0 * slot.first / slot.second
-                                          : 0.0);
-  }
-  std::printf("\n");
-}
-
 // §IV-D: distribution of the per-destination change in the minimum (best
 // case) and maximum (worst case) completion times.
 void print_edge_cases(const std::vector<const cdn::Experiment*>& treatment,
@@ -79,9 +38,14 @@ void print_edge_cases(const std::vector<const cdn::Experiment*>& treatment,
   int min_within_5 = 0, max_within_6 = 0, destinations = 0;
   for (std::size_t dst = 0; dst < pop_count; ++dst) {
     if (static_cast<int>(dst) == src) continue;
-    const auto with = merged_cdf(treatment, src, size, static_cast<int>(dst));
-    const auto without = merged_cdf(control, src, size, static_cast<int>(dst));
-    if (with.count() < 10 || without.count() < 10) continue;
+    const auto with =
+        bench::merged_cdf(treatment, src, size, static_cast<int>(dst));
+    const auto without =
+        bench::merged_cdf(control, src, size, static_cast<int>(dst));
+    if (with.count() < bench::kMinSamplesPerArm ||
+        without.count() < bench::kMinSamplesPerArm) {
+      continue;
+    }
     ++destinations;
     const double min_delta = (without.min() - with.min()) / without.min();
     const double max_delta = (without.max() - with.max()) / without.max();
@@ -139,9 +103,11 @@ int main(int argc, char** argv) {
                 opt.seeds.size());
     bench::print_rule();
     std::printf("(a) European PoP (lon):\n");
-    print_gain_by_percentile(treatment, control, eu, size, pops);
+    bench::print_gain_table(
+        stdout, bench::gain_by_percentile(treatment, control, eu, size, pops));
     std::printf("(b) North American PoP (nyc):\n");
-    print_gain_by_percentile(treatment, control, na, size, pops);
+    bench::print_gain_table(
+        stdout, bench::gain_by_percentile(treatment, control, na, size, pops));
     if (size == 100'000u) {
       std::printf("\nSection IV-D edge cases (100 KB):\n");
       print_edge_cases(treatment, control, eu, size, pops);

@@ -5,7 +5,7 @@
 //
 // `bench_micro --queue-json` skips google-benchmark and instead runs the
 // event-queue throughput driver (schedule/fire, schedule/cancel,
-// RTO-rearm, multi-timer rearm churn, far-future overflow) and prints one
+// RTO-rearm, multi-timer rearm churn, far-future) and prints one
 // machine-readable JSON row per workload, so successive PRs can track the
 // event-loop trajectory. See queue_throughput.h.
 

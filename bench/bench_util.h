@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,62 @@ inline std::string safety_counters_json(const cdn::Experiment& e) {
       static_cast<unsigned long long>(e.topology().total_retransmissions()),
       static_cast<unsigned long long>(e.topology().total_timeouts()));
   return buf;
+}
+
+// The Fig 15/16 analysis shared by bench_fig15_16_percentile and
+// bench_cc_matrix. A destination enters the comparison only when both
+// arms hold at least this many completions.
+inline constexpr std::size_t kMinSamplesPerArm = 10;
+
+// Merged completion-time CDF (ms) across all seeds of one sweep arm.
+inline stats::Cdf merged_cdf(const std::vector<const cdn::Experiment*>& runs,
+                             int src, std::uint64_t size, int dst) {
+  stats::Cdf merged;
+  for (const cdn::Experiment* run : runs) {
+    merged.add_all(run->probe_cdf(src, size, dst).sorted_samples());
+  }
+  return merged;
+}
+
+// Per-destination percentile gains averaged across destinations (the
+// paper's Fig 15/16 view), keyed by percentile. All probes of this size
+// count: reused probes run at grown windows in both systems and pin the
+// low percentiles; fresh ones carry the gains.
+inline std::map<double, double> gain_by_percentile(
+    const std::vector<const cdn::Experiment*>& treatment,
+    const std::vector<const cdn::Experiment*>& control, int src,
+    std::uint64_t size, std::size_t pop_count) {
+  std::map<double, std::pair<double, int>> accum;  // pct -> (sum, n)
+  for (std::size_t dst = 0; dst < pop_count; ++dst) {
+    if (static_cast<int>(dst) == src) continue;
+    const auto with = merged_cdf(treatment, src, size, static_cast<int>(dst));
+    const auto without = merged_cdf(control, src, size, static_cast<int>(dst));
+    if (with.count() < kMinSamplesPerArm ||
+        without.count() < kMinSamplesPerArm) {
+      continue;
+    }
+    for (const auto& gain : cdn::percentile_gains(without, with, 5.0)) {
+      auto& slot = accum[gain.percentile];
+      slot.first += gain.gain_fraction;
+      ++slot.second;
+    }
+  }
+  std::map<double, double> averaged;
+  for (const auto& [pct, slot] : accum) {
+    averaged[pct] = slot.first / slot.second;
+  }
+  return averaged;
+}
+
+// Prints a gain_by_percentile result as two rows: the percentiles, then
+// the gain at each in percent.
+inline void print_gain_table(std::FILE* out,
+                             const std::map<double, double>& gains) {
+  std::fprintf(out, "%-12s", "percentile:");
+  for (const auto& [pct, _] : gains) std::fprintf(out, " %5.0f", pct);
+  std::fprintf(out, "\n%-12s", "gain %:");
+  for (const auto& [_, g] : gains) std::fprintf(out, " %5.1f", 100.0 * g);
+  std::fprintf(out, "\n");
 }
 
 inline int find_pop(const std::vector<cdn::PopSpec>& specs,

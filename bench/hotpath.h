@@ -106,10 +106,8 @@ inline void run_hotpath_bulk(HotpathResult& out, int connections = 32,
   out.bulk.segments_allocated /= static_cast<std::uint64_t>(reps);
   out.bulk.segments_recycled /= static_cast<std::uint64_t>(reps);
   out.bulk.segment_heap_allocs /= static_cast<std::uint64_t>(reps);
-  out.bulk.sack_heap_spills /= static_cast<std::uint64_t>(reps);
   out.bulk.events_dispatched /= static_cast<std::uint64_t>(reps);
   out.bulk.events_cascaded /= static_cast<std::uint64_t>(reps);
-  out.bulk.overflow_promotions /= static_cast<std::uint64_t>(reps);
   out.bulk.timer_buckets_dispatched /= static_cast<std::uint64_t>(reps);
   out.bulk.packets_queued /= static_cast<std::uint64_t>(reps);
   out.bulk.bytes_queued /= static_cast<std::uint64_t>(reps);

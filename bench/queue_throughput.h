@@ -17,13 +17,13 @@
 //                     cancelling and re-arming one of them: the
 //                     schedule/cancel/reschedule churn a busy host's
 //                     connection table generates
-//   far_future      - events scheduled past the wheel horizon, half
-//                     cancelled, the rest drained: exercises the overflow
-//                     tier and its promotion path end to end
+//   far_future      - events scheduled ~a year out, half cancelled, the
+//                     rest drained: exercises the wheel's top levels and
+//                     their cascades end to end
 //
-// Only the public Simulator API is used (plus duck-typed probes for the
-// timer-wheel extras below), so the same driver links against any
-// simulator implementation — numbers are apples-to-apples across PRs.
+// Only the public Simulator API is used, so the same driver builds
+// against older simulators too — numbers are apples-to-apples across
+// PRs.
 
 #include <chrono>
 #include <cstddef>
@@ -42,32 +42,11 @@ inline double now_seconds() {
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
 }
-
-// Duck-typed probes so this driver also compiles against the pre-wheel
-// binary-heap simulator when capturing baseline numbers: scheduler_name()
-// and overflow_events() only exist on the two-tier scheduler.
-template <typename S>
-constexpr auto scheduler_label(int) -> decltype(S::scheduler_name()) {
-  return S::scheduler_name();
-}
-template <typename S>
-constexpr const char* scheduler_label(...) {
-  return "binary-heap";
-}
-
-template <typename S>
-auto overflow_events(const S& s, int) -> decltype(s.overflow_events()) {
-  return s.overflow_events();
-}
-template <typename S>
-std::size_t overflow_events(const S&, ...) {
-  return 0;
-}
 }  // namespace detail
 
 // One bench workload's measurement: rate, peak queue footprint, and the
-// perf-counter delta accumulated while it ran (events_cascaded /
-// overflow_promotions prove which scheduler tier did the work).
+// perf-counter delta accumulated while it ran (events_cascaded shows how
+// much of the work was redistribution between wheel levels).
 struct QueueWorkloadResult {
   const char* workload = "";
   double ops_per_sec = 0.0;
@@ -186,15 +165,15 @@ inline QueueThroughput measure_queue_throughput(std::size_t total_ops =
   }
 
   {
-    // far_future: events scheduled ~a year out — past the ~208-day wheel
-    // horizon, so they land in the overflow tier — then half cancelled
-    // (lazy reclamation there) and the rest drained through promotion back
-    // into the wheel. One "op" is one schedule, one cancel, or one fire.
+    // far_future: events scheduled ~a year out — past 2^54 ns, so they
+    // land in the wheel's top levels — then half cancelled and the rest
+    // drained, cascading down through every level below. One "op" is one
+    // schedule, one cancel, or one fire.
     const std::size_t n = total_ops / 2;
     sim::Simulator sim;
     std::vector<sim::EventHandle> handles(n);
     std::uint64_t fired = 0;
-    std::size_t peak_overflow = 0;
+    std::size_t peak = 0;
     const perf::Counters before = perf::local();
     const double start = detail::now_seconds();
     for (std::size_t i = 0; i < n; ++i) {
@@ -203,7 +182,7 @@ inline QueueThroughput measure_queue_throughput(std::size_t total_ops =
               sim::Time::microseconds(static_cast<std::int64_t>(i)),
           [&fired] { ++fired; });
     }
-    peak_overflow = detail::overflow_events(sim, 0);
+    peak = sim.pending_events();
     for (std::size_t i = 0; i < n; i += 2) handles[i].cancel();
     sim.run();
     const double elapsed = detail::now_seconds() - start;
@@ -211,8 +190,7 @@ inline QueueThroughput measure_queue_throughput(std::size_t total_ops =
       std::fprintf(stderr, "queue bench: bad far_future fire count\n");
     }
     out.workloads.push_back({"far_future",
-                             static_cast<double>(2 * n) / elapsed,
-                             peak_overflow,
+                             static_cast<double>(2 * n) / elapsed, peak,
                              perf::local().delta_since(before)});
   }
 
@@ -221,16 +199,14 @@ inline QueueThroughput measure_queue_throughput(std::size_t total_ops =
 
 // One JSON object per workload, newline-separated (JSONL).
 // tools/bench_diff.py understands this shape and keys metrics by workload
-// name; peak_pending reports the overflow-tier population for far_future.
+// name.
 inline void print_queue_throughput_json(const QueueThroughput& t,
                                         const char* build_label) {
-  const char* scheduler = detail::scheduler_label<sim::Simulator>(0);
   for (const QueueWorkloadResult& w : t.workloads) {
     std::printf(
         "{\"bench\":\"event_queue\",\"workload\":\"%s\",\"build\":\"%s\","
-        "\"scheduler\":\"%s\",\"ops_per_sec\":%.0f,\"peak_pending\":%zu,"
-        "\"counters\":%s}\n",
-        w.workload, build_label, scheduler, w.ops_per_sec, w.peak_pending,
+        "\"ops_per_sec\":%.0f,\"peak_pending\":%zu,\"counters\":%s}\n",
+        w.workload, build_label, w.ops_per_sec, w.peak_pending,
         perf::to_json(w.counters).c_str());
   }
 }

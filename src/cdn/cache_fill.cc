@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "cdn/probe.h"
+
 namespace riptide::cdn {
 
 CacheFillWorkload::CacheFillWorkload(sim::Simulator& sim, host::Host& edge,
@@ -28,11 +30,10 @@ std::uint64_t CacheFillWorkload::object_bytes(std::uint64_t id) const {
   const std::uint64_t raw = config_.sizes.sample(id_rng);
   // The fetch protocol encodes size / scale in the request length, so
   // round up to the scale (>= one unit).
-  const std::uint64_t units =
-      std::max<std::uint64_t>(1, (raw + config_.size_scale - 1) /
-                                     config_.size_scale);
+  const std::uint64_t units = std::max<std::uint64_t>(
+      1, (raw + ProbeServer::kScale - 1) / ProbeServer::kScale);
   // Cap at what one request segment can name.
-  return std::min<std::uint64_t>(units, 1400) * config_.size_scale;
+  return std::min<std::uint64_t>(units, 1400) * ProbeServer::kScale;
 }
 
 void CacheFillWorkload::start() {
@@ -68,9 +69,9 @@ void CacheFillWorkload::on_request() {
 tcp::TcpConnection::Callbacks CacheFillWorkload::callbacks_for(
     std::shared_ptr<ConnCtx> ctx) {
   tcp::TcpConnection::Callbacks cbs;
-  cbs.on_established = [this, ctx] {
+  cbs.on_established = [ctx] {
     if (ctx->dead || ctx->owner == nullptr) return;
-    ctx->conn->send(ctx->owner->bytes / config_.size_scale);
+    ctx->conn->send(ctx->owner->bytes / ProbeServer::kScale);
   };
   cbs.on_data = [this, ctx](std::uint64_t bytes) {
     if (ctx->dead || ctx->owner == nullptr) return;
@@ -95,7 +96,6 @@ void CacheFillWorkload::start_fetch(std::uint64_t id) {
   fetch->id = id;
   fetch->bytes = object_bytes(id);
   fetch->started = sim_.now();
-  ++fetches_started_;
 
   const bool can_reuse = pooled_ != nullptr && !pooled_->dead &&
                          pooled_->conn != nullptr &&
@@ -107,13 +107,13 @@ void CacheFillWorkload::start_fetch(std::uint64_t id) {
     pooled_.reset();
     fetch->ctx->owner = fetch.get();
     fetch->fresh = false;
-    fetch->ctx->conn->send(fetch->bytes / config_.size_scale);
+    fetch->ctx->conn->send(fetch->bytes / ProbeServer::kScale);
   } else {
     auto ctx = std::make_shared<ConnCtx>();
     ctx->owner = fetch.get();
     fetch->ctx = ctx;
     fetch->fresh = true;
-    ctx->conn = &edge_.connect(origin_.address(), config_.origin_port,
+    ctx->conn = &edge_.connect(origin_.address(), ProbeServer::kPort,
                                callbacks_for(ctx));
   }
   fetches_.push_back(std::move(fetch));

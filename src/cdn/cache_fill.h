@@ -26,17 +26,15 @@ struct CacheFillConfig {
   FileSizeDistribution sizes{};
 
   std::uint64_t cache_capacity_bytes = 64ull * 1024 * 1024;
-
-  // Origin fetch connections: one persistent connection, plus fresh ones
-  // when misses overlap — the connection-churn pattern Riptide targets.
-  std::uint16_t origin_port = 9000;  // a ProbeServer on the origin host
-  std::uint32_t size_scale = 1000;
 };
 
 // The paper's motivating back-office workload: an edge PoP serving user
 // requests from an LRU cache, fetching misses from an origin PoP over the
 // WAN. Cache hits are free; every miss is a fresh-ish TCP transfer whose
-// completion time Riptide's learned initial windows cut down.
+// completion time Riptide's learned initial windows cut down. The origin
+// host runs a ProbeServer; fetches use one persistent connection to it,
+// plus fresh ones when misses overlap — the connection-churn pattern
+// Riptide targets.
 class CacheFillWorkload {
  public:
   CacheFillWorkload(sim::Simulator& sim, host::Host& edge, int edge_pop,
@@ -48,7 +46,6 @@ class CacheFillWorkload {
 
   const LruCache& cache() const { return cache_; }
   std::uint64_t requests() const { return requests_; }
-  std::uint64_t fetches_started() const { return fetches_started_; }
   std::uint64_t fetches_completed() const { return fetches_completed_; }
 
   // Size (bytes) of catalog object `id`, deterministic across runs.
@@ -100,7 +97,6 @@ class CacheFillWorkload {
   std::deque<std::unique_ptr<Fetch>> fetches_;
 
   std::uint64_t requests_ = 0;
-  std::uint64_t fetches_started_ = 0;
   std::uint64_t fetches_completed_ = 0;
   bool started_ = false;
 };

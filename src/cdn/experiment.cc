@@ -5,6 +5,14 @@
 
 namespace riptide::cdn {
 
+namespace {
+
+// The `ss` sampler skips connections that have not moved this much data:
+// parked request-only connections would otherwise swamp the distribution.
+constexpr std::uint64_t kMinBytesForCwndSample = 5000;
+
+}  // namespace
+
 Experiment::Experiment(ExperimentConfig config) : config_(std::move(config)) {
   build();
 }
@@ -24,23 +32,15 @@ void Experiment::build() {
 
   // Probe + sink servers on every host: any PoP can be asked for an object.
   for (host::Host* host : topo.all_hosts()) {
-    probe_servers_.push_back(std::make_unique<ProbeServer>(
-        *host, config_.probe.server_port, config_.probe.size_scale));
+    probe_servers_.push_back(std::make_unique<ProbeServer>(*host));
     probe_servers_.back()->start();
-    sink_servers_.push_back(
-        std::make_unique<SinkServer>(*host, config_.organic.sink_port));
+    sink_servers_.push_back(std::make_unique<SinkServer>(*host));
     sink_servers_.back()->start();
   }
 
-  // Probe clients on the configured source PoPs (default: all).
-  std::vector<std::size_t> sources = config_.probe_source_pops;
-  if (sources.empty()) {
-    sources.resize(n);
-    for (std::size_t i = 0; i < n; ++i) sources[i] = i;
-  }
+  // Probe clients on every PoP (the paper's mesh).
   const int hosts_per_pop = config_.topology.hosts_per_pop;
-  for (std::size_t src : sources) {
-    if (src >= n) throw std::invalid_argument("Experiment: bad source pop");
+  for (std::size_t src = 0; src < n; ++src) {
     for (int h = 0; h < hosts_per_pop; ++h) {
       std::vector<ProbeTarget> targets;
       for (std::size_t dst = 0; dst < n; ++dst) {
@@ -82,17 +82,11 @@ void Experiment::build() {
   // a kNone config is bit-identical to previous releases.
   if (config_.hostile.kind != HostileKind::kNone) build_hostile();
 
-  // Fluid cross-traffic on the WAN links of the designated source PoPs
-  // (hybrid fidelity; see flow/flow_traffic.h). Gated so a disabled config
-  // is bit-identical to previous releases.
+  // Fluid cross-traffic on every WAN link (hybrid fidelity; see
+  // flow/flow_traffic.h). Gated so a disabled config is bit-identical to
+  // previous releases.
   if (config_.flow_traffic.enabled) {
-    std::vector<std::size_t> flow_sources = config_.flow_traffic.source_pops;
-    if (flow_sources.empty()) {
-      flow_sources.resize(n);
-      for (std::size_t i = 0; i < n; ++i) flow_sources[i] = i;
-    }
-    for (std::size_t src : flow_sources) {
-      if (src >= n) throw std::invalid_argument("Experiment: bad flow pop");
+    for (std::size_t src = 0; src < n; ++src) {
       for (std::size_t dst = 0; dst < n; ++dst) {
         if (dst == src) continue;
         flow_loads_.push_back(std::make_unique<flow::FlowLevelLoad>(
@@ -129,7 +123,7 @@ void Experiment::build() {
           const int pop = topology_->pop_of(host->address());
           for (const auto& info : host->socket_stats()) {
             if (info.state != tcp::TcpState::kEstablished) continue;
-            if (info.bytes_acked < config_.min_bytes_for_cwnd_sample) continue;
+            if (info.bytes_acked < kMinBytesForCwndSample) continue;
             metrics_.record_cwnd(
                 CwndSample{pop, info.cwnd_segments, sim_.now()});
           }
@@ -174,7 +168,7 @@ void Experiment::build_hostile() {
       for (int h = 0; h < hosts_per_pop; ++h) {
         incast_sources_.push_back(std::make_unique<BurstWaveSource>(
             sim_, topo.host(pop, static_cast<std::size_t>(h)), victims,
-            config_.organic.sink_port, schedule));
+            schedule));
         incast_sources_.back()->start();
       }
     }
@@ -197,7 +191,7 @@ void Experiment::build_hostile() {
         }
         flash_crowd_sources_.push_back(std::make_unique<BurstWaveSource>(
             sim_, topo.host(pop, static_cast<std::size_t>(h)),
-            std::move(targets), config_.organic.sink_port, schedule));
+            std::move(targets), schedule));
         flash_crowd_sources_.back()->start();
       }
     }

@@ -24,11 +24,9 @@ class Experiment;
 
 // Hybrid-fidelity cross-traffic: fluid (flow-level) background load on WAN
 // links while probe/organic traffic stays packet-level. One
-// flow::FlowLevelLoad per outgoing WAN link of each source PoP.
+// flow::FlowLevelLoad per WAN link.
 struct FlowCrossTrafficConfig {
   bool enabled = false;
-  // PoPs whose outgoing WAN links carry the fluid aggregate; empty = all.
-  std::vector<std::size_t> source_pops{};
   flow::FlowTrafficConfig model{};
 };
 
@@ -45,8 +43,6 @@ struct ExperimentConfig {
   core::RiptideConfig riptide{};
 
   ProbeClientConfig probe{};
-  // PoPs whose hosts issue probes; empty = all PoPs (the paper's mesh).
-  std::vector<std::size_t> probe_source_pops{};
 
   // PoPs that additionally generate organic back-office traffic (Fig 11's
   // "full traffic" PoP).
@@ -67,9 +63,6 @@ struct ExperimentConfig {
   // §IV-B1: windows of established connections sampled periodically (the
   // paper samples each minute over 12 h; scaled-down runs sample faster).
   sim::Time cwnd_sample_interval = sim::Time::seconds(15);
-  // Only connections that have actually moved data are sampled — parked
-  // request-only connections would otherwise swamp the distribution.
-  std::uint64_t min_bytes_for_cwnd_sample = 5000;
 
   std::uint64_t seed = 1;
 

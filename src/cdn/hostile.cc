@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "cdn/traffic.h"
 #include "tcp/connection.h"
 
 namespace riptide::cdn {
@@ -209,7 +210,7 @@ namespace {
 // alive for the callback without a use-after-free if establishment loses
 // to teardown (the host owns the connection either way).
 void launch_burst(host::Host& host, net::Ipv4Address target,
-                  std::uint16_t port, std::uint64_t bytes) {
+                  std::uint64_t bytes) {
   auto holder = std::make_shared<tcp::TcpConnection*>(nullptr);
   tcp::TcpConnection::Callbacks cbs;
   cbs.on_established = [holder, bytes] {
@@ -218,19 +219,15 @@ void launch_burst(host::Host& host, net::Ipv4Address target,
     (*holder)->close();
   };
   cbs.on_closed = [holder](bool /*reset*/) { *holder = nullptr; };
-  *holder = &host.connect(target, port, std::move(cbs));
+  *holder = &host.connect(target, SinkServer::kPort, std::move(cbs));
 }
 
 }  // namespace
 
 BurstWaveSource::BurstWaveSource(sim::Simulator& sim, host::Host& host,
                                  std::vector<net::Ipv4Address> targets,
-                                 std::uint16_t sink_port, Schedule schedule)
-    : sim_(sim),
-      host_(host),
-      targets_(std::move(targets)),
-      sink_port_(sink_port),
-      schedule_(schedule) {}
+                                 Schedule schedule)
+    : sim_(sim), host_(host), targets_(std::move(targets)), schedule_(schedule) {}
 
 void BurstWaveSource::start() {
   if (started_ || targets_.empty()) return;
@@ -248,7 +245,7 @@ void BurstWaveSource::fire_wave() {
   for (int i = 0; i < schedule_.connections; ++i) {
     ++connections_;
     bytes_queued_ += schedule_.bytes;
-    launch_burst(host_, targets_[next_target_], sink_port_, schedule_.bytes);
+    launch_burst(host_, targets_[next_target_], schedule_.bytes);
     next_target_ = (next_target_ + 1) % targets_.size();
   }
   if (schedule_.waves == 0 || waves_ < schedule_.waves) {

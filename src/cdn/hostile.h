@@ -90,8 +90,7 @@ class BurstWaveSource {
   };
 
   BurstWaveSource(sim::Simulator& sim, host::Host& host,
-                  std::vector<net::Ipv4Address> targets,
-                  std::uint16_t sink_port, Schedule schedule);
+                  std::vector<net::Ipv4Address> targets, Schedule schedule);
 
   void start();
 
@@ -105,7 +104,6 @@ class BurstWaveSource {
   sim::Simulator& sim_;
   host::Host& host_;
   std::vector<net::Ipv4Address> targets_;
-  std::uint16_t sink_port_;
   Schedule schedule_;
   std::size_t next_target_ = 0;
   std::uint64_t waves_ = 0;

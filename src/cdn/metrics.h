@@ -62,8 +62,6 @@ class MetricsCollector {
   // Window CDF (segments); `pop` < 0 means all PoPs.
   stats::Cdf cwnd_cdf(int pop = -1) const;
 
-  std::size_t flow_count() const { return flows_.size(); }
-
  private:
   std::deque<FlowRecord> flows_;
   std::deque<CwndSample> cwnd_samples_;

@@ -11,22 +11,18 @@ std::vector<ProbeSpec> default_probe_specs() {
 
 // ---------------------------------------------------------------- server
 
-ProbeServer::ProbeServer(host::Host& host, std::uint16_t port,
-                         std::uint32_t scale)
-    : host_(host), port_(port), scale_(scale) {
-  if (scale_ == 0) throw std::invalid_argument("ProbeServer: scale == 0");
-}
+ProbeServer::ProbeServer(host::Host& host) : host_(host) {}
 
 void ProbeServer::start() {
   if (started_) return;
   started_ = true;
-  host_.listen(port_, [this](tcp::TcpConnection& conn) {
+  host_.listen(kPort, [this](tcp::TcpConnection& conn) {
     tcp::TcpConnection::Callbacks cbs;
     // Clients never pipeline, so every in-order delivery is one request
     // whose length names the object size.
     cbs.on_data = [this, &conn](std::uint64_t bytes) {
       ++objects_served_;
-      const std::uint64_t object = bytes * scale_;
+      const std::uint64_t object = bytes * kScale;
       bytes_served_ += object;
       conn.send(object);
     };
@@ -64,7 +60,7 @@ ProbeClient::ProbeClient(sim::Simulator& sim, host::Host& host, int src_pop,
 }
 
 std::uint32_t ProbeClient::request_bytes_for(const ProbeSpec& spec) const {
-  const std::uint64_t bytes = spec.object_bytes / config_.size_scale;
+  const std::uint64_t bytes = spec.object_bytes / ProbeServer::kScale;
   if (bytes == 0 || bytes > 1400) {
     throw std::logic_error(
         "ProbeClient: object size not encodable in a one-segment request");
@@ -182,7 +178,7 @@ void ProbeClient::open_fresh(Task& task) {
   task.active = st;
   task.fresh = true;
   ++fresh_opened_;
-  st->conn = &host_.connect(task.target.address, config_.server_port,
+  st->conn = &host_.connect(task.target.address, ProbeServer::kPort,
                             callbacks_for(st));
 }
 

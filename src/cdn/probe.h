@@ -24,20 +24,19 @@ struct ProbeSpec {
 // The paper's 10/50/100 KB probe set.
 std::vector<ProbeSpec> default_probe_specs();
 
-// Serves probe objects on one port. The protocol mirrors an HTTP GET whose
+// Serves probe objects on kPort. The protocol mirrors an HTTP GET whose
 // URL names the object: the request's byte-length encodes the object size
-// (object = request_bytes * scale). Requests are never pipelined by the
+// (object = request_bytes * kScale). Requests are never pipelined by the
 // client, so each in-order delivery is one request.
 //
 // The sender side of the response is where Riptide's learned initcwnd does
 // its work.
 class ProbeServer {
  public:
-  static constexpr std::uint16_t kDefaultPort = 9000;
-  static constexpr std::uint32_t kDefaultScale = 1000;
+  static constexpr std::uint16_t kPort = 9000;
+  static constexpr std::uint32_t kScale = 1000;
 
-  ProbeServer(host::Host& host, std::uint16_t port = kDefaultPort,
-              std::uint32_t scale = kDefaultScale);
+  explicit ProbeServer(host::Host& host);
 
   void start();
 
@@ -46,8 +45,6 @@ class ProbeServer {
 
  private:
   host::Host& host_;
-  std::uint16_t port_;
-  std::uint32_t scale_;
   std::uint64_t objects_served_ = 0;
   std::uint64_t bytes_served_ = 0;
   bool started_ = false;
@@ -62,8 +59,6 @@ struct ProbeTarget {
 
 struct ProbeClientConfig {
   std::vector<ProbeSpec> specs = default_probe_specs();
-  std::uint16_t server_port = ProbeServer::kDefaultPort;
-  std::uint32_t size_scale = ProbeServer::kDefaultScale;
 
   // Mean period between probes of one (target, flavour) pair, with
   // +-interval_jitter uniform jitter per round so the three flavours race

@@ -5,6 +5,19 @@
 
 namespace riptide::cdn {
 
+namespace {
+
+// WAN path length over the great-circle distance, calibrated so the
+// all-pairs RTT median lands above 125 ms (paper Fig 5).
+constexpr double kPathInflation = 1.5;
+
+// Intra-PoP fabric ("evenly distributed interconnect", §III-B).
+constexpr double kLanRateBps = 10e9;
+constexpr sim::Time kLanDelay = sim::Time::microseconds(50);
+constexpr std::size_t kLanQueuePackets = 4096;
+
+}  // namespace
+
 Topology::Topology(sim::Simulator& sim, TopologyConfig config,
                    std::vector<PopSpec> specs)
     : sim_(sim), config_(config), rng_(config.seed) {
@@ -33,9 +46,8 @@ void Topology::build(const std::vector<PopSpec>& specs) {
     pops_.push_back(std::move(pop));
   }
 
-  const net::Link::Config lan_up_cfg{
-      config_.lan_rate_bps, config_.lan_delay, config_.lan_queue_packets,
-      0.0, "lan"};
+  const net::Link::Config lan_up_cfg{kLanRateBps, kLanDelay, kLanQueuePackets,
+                                     0.0, "lan"};
 
   for (std::size_t i = 0; i < n; ++i) {
     auto& pop = pops_[i];
@@ -73,8 +85,7 @@ void Topology::build(const std::vector<PopSpec>& specs) {
       net::Link::Config cfg;
       cfg.rate_bps = config_.wan_rate_bps;
       cfg.propagation_delay = propagation_delay(
-          pops_[i].spec.location, pops_[j].spec.location,
-          config_.path_inflation);
+          pops_[i].spec.location, pops_[j].spec.location, kPathInflation);
       cfg.queue_packets = config_.wan_queue_packets;
       cfg.loss_probability = config_.wan_loss_probability;
       cfg.name = pops_[i].spec.name + "->" + pops_[j].spec.name;
@@ -111,9 +122,8 @@ int Topology::pop_of(net::Ipv4Address addr) const {
 sim::Time Topology::base_rtt(std::size_t pop_a, std::size_t pop_b) const {
   const sim::Time one_way =
       propagation_delay(pops_.at(pop_a).spec.location,
-                        pops_.at(pop_b).spec.location,
-                        config_.path_inflation) +
-      2 * config_.lan_delay;
+                        pops_.at(pop_b).spec.location, kPathInflation) +
+      2 * kLanDelay;
   return 2 * one_way;
 }
 

@@ -22,13 +22,6 @@ struct TopologyConfig {
   std::size_t wan_queue_packets = 4096;
   // Residual random loss standing in for cross-traffic on shared segments.
   double wan_loss_probability = 5e-5;
-  // Calibrated so the all-pairs RTT median lands above 125 ms (paper Fig 5).
-  double path_inflation = 1.5;
-
-  // Intra-PoP fabric ("evenly distributed interconnect", §III-B).
-  double lan_rate_bps = 10e9;
-  sim::Time lan_delay = sim::Time::microseconds(50);
-  std::size_t lan_queue_packets = 4096;
 
   std::uint64_t seed = 1;
   tcp::TcpConfig host_tcp{};

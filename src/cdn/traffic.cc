@@ -2,13 +2,12 @@
 
 namespace riptide::cdn {
 
-SinkServer::SinkServer(host::Host& host, std::uint16_t port)
-    : host_(host), port_(port) {}
+SinkServer::SinkServer(host::Host& host) : host_(host) {}
 
 void SinkServer::start() {
   if (started_) return;
   started_ = true;
-  host_.listen(port_, [this](tcp::TcpConnection& conn) {
+  host_.listen(kPort, [this](tcp::TcpConnection& conn) {
     ++accepted_;
     tcp::TcpConnection::Callbacks cbs;
     cbs.on_data = [this](std::uint64_t bytes) { bytes_received_ += bytes; };
@@ -64,7 +63,7 @@ void OrganicSource::ensure_connection(Pool& pool) {
     pool.backlog = 0;
     pool.close_after_drain = false;
   };
-  pool.conn = &host_.connect(pool.target, config_.sink_port, std::move(cbs));
+  pool.conn = &host_.connect(pool.target, SinkServer::kPort, std::move(cbs));
 }
 
 void OrganicSource::transfer_once() {

@@ -17,7 +17,9 @@ namespace riptide::cdn {
 // payloads).
 class SinkServer {
  public:
-  SinkServer(host::Host& host, std::uint16_t port);
+  static constexpr std::uint16_t kPort = 9900;
+
+  explicit SinkServer(host::Host& host);
   void start();
 
   std::uint64_t bytes_received() const { return bytes_received_; }
@@ -25,7 +27,6 @@ class SinkServer {
 
  private:
   host::Host& host_;
-  std::uint16_t port_;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t accepted_ = 0;
   bool started_ = false;
@@ -35,7 +36,6 @@ struct OrganicSourceConfig {
   // Poisson arrivals of outbound transfers.
   double mean_interarrival_seconds = 0.2;
   FileSizeDistribution sizes{};
-  std::uint16_t sink_port = 9900;
   // Per-transfer probability that the connection is closed afterwards,
   // modelling the application errors / restarts of §II-A that force fresh
   // connections.

@@ -157,7 +157,6 @@ class RiptideAgent {
   void set_window_cap(std::uint32_t cap_segments) {
     window_cap_segments_ = cap_segments;
   }
-  std::uint32_t window_cap() const { return window_cap_segments_; }
 
   // Operator hook: withdraw every learned route and enter cooldown right
   // now, regardless of health signals (e.g. a pre-announced maintenance

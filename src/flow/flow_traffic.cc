@@ -8,6 +8,18 @@
 
 namespace riptide::flow {
 
+namespace {
+
+// Per-flow rate cap (sender access bandwidth); the aggregate is the sum of
+// per-flow rates under processor sharing, so a handful of flows cannot
+// instantly saturate a fat WAN pipe.
+constexpr double kPerFlowAccessBps = 200e6;
+// Queue occupancy imputed to the aggregate: this fraction of the link's
+// buffer, scaled by instantaneous utilization.
+constexpr double kQueueFillFraction = 0.5;
+
+}  // namespace
+
 FlowLevelLoad::FlowLevelLoad(sim::Simulator& sim, net::Link& link,
                              FlowTrafficConfig config, sim::Rng& rng)
     : sim_(sim), link_(link), config_(config), rng_(rng) {
@@ -16,13 +28,6 @@ FlowLevelLoad::FlowLevelLoad(sim::Simulator& sim, net::Link& link,
   }
   if (config_.mean_flow_bytes <= 0.0) {
     throw std::invalid_argument("FlowLevelLoad: mean_flow_bytes must be > 0");
-  }
-  if (config_.per_flow_access_bps <= 0.0) {
-    throw std::invalid_argument("FlowLevelLoad: access rate must be > 0");
-  }
-  if (config_.max_utilization <= 0.0 || config_.max_utilization > 1.0) {
-    throw std::invalid_argument(
-        "FlowLevelLoad: max_utilization outside (0, 1]");
   }
   if (config_.pareto_alpha != 0.0 && config_.pareto_alpha <= 1.0) {
     // alpha <= 1 has no finite mean, so mean_flow_bytes would be
@@ -68,15 +73,15 @@ void FlowLevelLoad::apply_load() {
     return;
   }
   const double capacity = link_.config().rate_bps;
-  offered_bps_ = std::min(static_cast<double>(n) * config_.per_flow_access_bps,
-                          config_.max_utilization * capacity);
+  offered_bps_ = std::min(static_cast<double>(n) * kPerFlowAccessBps,
+                          kMaxUtilization * capacity);
   per_flow_bps_ = offered_bps_ / static_cast<double>(n);
   // Imputed buffer occupancy scales with the aggregate's utilization; it
   // never claims the whole buffer (Link floors the residue at one slot
   // anyway, but staying below capacity keeps the model honest).
   const auto buffer = static_cast<double>(link_.config().queue_packets);
   const auto occupancy = static_cast<std::size_t>(
-      config_.queue_fill_fraction * buffer * (offered_bps_ / capacity));
+      kQueueFillFraction * buffer * (offered_bps_ / capacity));
   link_.set_background_load(offered_bps_, occupancy);
 }
 

@@ -23,17 +23,6 @@ struct FlowTrafficConfig {
   // this mean; with pareto_alpha == 0 they are exponential.
   double mean_flow_bytes = 250e3;
   double pareto_alpha = 1.5;
-  // Per-flow rate cap (sender access bandwidth); the aggregate is the sum
-  // of per-flow rates under processor sharing, so a handful of flows
-  // cannot instantly saturate a fat WAN pipe.
-  double per_flow_access_bps = 200e6;
-  // Hard cap on the fraction of link capacity the fluid aggregate may
-  // occupy, so packet-level traffic always retains some residual rate
-  // above the Link-enforced 1% floor.
-  double max_utilization = 0.85;
-  // Queue occupancy imputed to the aggregate: this fraction of the link's
-  // buffer, scaled by instantaneous utilization.
-  double queue_fill_fraction = 0.5;
 };
 
 // Flow-level (fluid) model of background cross-traffic on one WAN link —
@@ -47,8 +36,8 @@ struct FlowTrafficConfig {
 // then experience the congestion through the link's ordinary residual-rate
 // serialization and residual-buffer drop-tail paths.
 //
-// Service model: the n active flows share min(n * per_flow_access_bps,
-// max_utilization * capacity) equally (egalitarian processor sharing).
+// Service model: the n active flows share min(n * kPerFlowAccessBps,
+// kMaxUtilization * capacity) equally (egalitarian processor sharing).
 // Completions are tracked in virtual service time: A(t) is the cumulative
 // per-flow attained service; a flow arriving at time t_a with size S
 // completes when A reaches A(t_a) + S. Because PS serves all flows at the
@@ -60,6 +49,11 @@ struct FlowTrafficConfig {
 // of that simulator's deterministic event stream.
 class FlowLevelLoad {
  public:
+  // Hard cap on the fraction of link capacity the fluid aggregate may
+  // occupy, so packet-level traffic always retains some residual rate
+  // above the Link-enforced 1% floor.
+  static constexpr double kMaxUtilization = 0.85;
+
   // `link` must outlive this object. `rng` is borrowed.
   FlowLevelLoad(sim::Simulator& sim, net::Link& link,
                 FlowTrafficConfig config, sim::Rng& rng);

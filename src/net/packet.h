@@ -41,7 +41,6 @@ struct Payload {
   void ref_release() const {
     if (--refs_ == 0) retire();
   }
-  std::uint32_t ref_count() const { return refs_; }
 
  protected:
   // Called when the last Ref drops. `this` may be destroyed (default) or

@@ -19,7 +19,7 @@ namespace riptide::sim {
 // microsecond-scale transmission/pacing events insert at their final
 // level-0 resting place and never cascade, and the millisecond-scale
 // RTT/delivery events sit in level 1 and cascade exactly once. Each
-// upper level L in 2..6 has 64 buckets of width 2^(24 + 6(L-2)) ns, so
+// upper level L in 2..8 has 64 buckets of width 2^(24 + 6(L-2)) ns, so
 // shift(L) = 24 + 6(L-2) converts a tick to a level-L bucket number. An
 // event is placed at the lowest level whose window covers it:
 //
@@ -30,10 +30,10 @@ namespace riptide::sim {
 // The bucket-number rule (rather than a raw-delta rule) is what makes
 // bucket indices `(when >> shift) & mask` unambiguous under wraparound,
 // and it guarantees that for L >= 1 the bucket at the cursor's own index
-// is always empty: D(L) == 0 implies the event fits a lower tier, so it
-// must have been placed there. Events past the top level's span (2^54 ns,
-// ~208 simulated days) live in the overflow min-heap and promote into
-// the wheel as the cursor approaches.
+// is always empty: D(L) == 0 implies the event fits a lower level, so it
+// must have been placed there. The top level (shift 60) needs no window
+// check: ticks are non-negative int64 values, below 2^63, so their level-8
+// bucket numbers are 0..7 and every event has a place in the wheel.
 //
 // The cursor only moves through seek(): it jumps straight to the next
 // event boundary (occupancy bitmaps + rotate/ctz, no per-tick stepping),
@@ -41,9 +41,9 @@ namespace riptide::sim {
 // The wide levels' occupancy is a two-level bitmap (a summary word over
 // 64 64-bucket groups); each upper level is a single word. Dispatch
 // detaches a whole level-0 bucket as a run-list and sorts it by seq —
-// since the bucket holds a single timestamp, this reproduces the binary
-// heap's exact (when, seq) order no matter how cascades and promotions
-// interleaved the intrusive lists.
+// since the bucket holds a single timestamp, this reproduces the exact
+// (when, seq) order no matter how cascades interleaved the intrusive
+// lists.
 
 namespace {
 
@@ -191,30 +191,26 @@ void Simulator::insert_event(std::uint32_t slot) {
   const std::uint64_t b1 = tick >> kLevel0Bits;
   if (b1 - (cursor_ >> kLevel0Bits) < kLevel1Buckets) {
     link_into_bucket(slot, kLevel0Buckets + (b1 & (kLevel1Buckets - 1)));
-    // An upper-tier resident introduces a cascade boundary at its bucket
+    // An upper-level resident introduces a cascade boundary at its bucket
     // start; keep the floor a valid lower bound.
     const std::uint64_t start = b1 << kLevel0Bits;
     if (start < boundary_floor_) boundary_floor_ = start;
     return;
   }
-  for (int level = 2; level < kLevels; ++level) {
-    const int shift = upper_shift(level);
-    if ((tick >> shift) - (cursor_ >> shift) < kBuckets) {
-      const std::size_t index = (tick >> shift) & (kBuckets - 1);
-      link_into_bucket(slot,
-                       kUpperBase +
-                           static_cast<std::size_t>(level - 2) * kBuckets +
-                           index);
-      const std::uint64_t start = (tick >> shift) << shift;
-      if (start < boundary_floor_) boundary_floor_ = start;
-      return;
-    }
+  // The lowest upper level whose window covers the tick; the top level
+  // covers every tick.
+  int level = 2;
+  while (level < kLevels - 1 &&
+         (tick >> upper_shift(level)) - (cursor_ >> upper_shift(level)) >=
+             kBuckets) {
+    ++level;
   }
-  node.where = kWhereOverflow;
-  overflow_.push_back(OverflowEntry{tick, node.seq, slot, node.gen});
-  std::push_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-  ++overflow_live_;
-  if (tick < boundary_floor_) boundary_floor_ = tick;
+  const int shift = upper_shift(level);
+  link_into_bucket(slot, kUpperBase +
+                             static_cast<std::size_t>(level - 2) * kBuckets +
+                             ((tick >> shift) & (kBuckets - 1)));
+  const std::uint64_t start = (tick >> shift) << shift;
+  if (start < boundary_floor_) boundary_floor_ = start;
 }
 
 void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
@@ -230,23 +226,10 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   }
   --live_;
   if (node.where < kWheelBuckets) {
-    // Wheel-resident: O(1) unlink, slot reclaimed immediately — the
-    // rearm-heavy RTO pattern leaves no garbage behind.
+    // O(1) unlink, slot reclaimed immediately — the rearm-heavy RTO
+    // pattern leaves no garbage behind.
     unlink_from_bucket(slot);
     release_slot(slot);
-    return;
-  }
-  if (node.where == kWhereOverflow) {
-    // Overflow-resident: the heap entry cannot be unlinked in O(1), so it
-    // dies in place and is reclaimed when it surfaces (or scrubbed when
-    // zombies outnumber live entries).
-    ++node.gen;
-    data_[slot].cb.reset();
-    data_[slot].interval = Time::zero();
-    node.where = kWhereNone;
-    --overflow_live_;
-    ++overflow_dead_;
-    maybe_scrub_overflow();
     return;
   }
   // kWhereRun: mid-dispatch cancellation of a not-yet-run same-tick event.
@@ -256,27 +239,6 @@ void Simulator::cancel_event(std::uint32_t slot, std::uint32_t gen) {
   data_[slot].cb.reset();
   data_[slot].interval = Time::zero();
   node.where = kWhereNone;
-}
-
-void Simulator::maybe_scrub_overflow() {
-  // Reclaim the overflow tier once zombies outnumber live entries, so a
-  // pathological far-future cancel storm cannot grow the heap past ~2x
-  // its live population. Amortized O(1) per cancellation; the wheel tier
-  // never needs this (cancellation unlinks eagerly).
-  if (overflow_.size() < kBuckets || overflow_dead_ * 2 <= overflow_.size()) {
-    return;
-  }
-  std::size_t kept = 0;
-  for (const OverflowEntry& entry : overflow_) {
-    if (nodes_[entry.slot].gen == entry.gen) {
-      overflow_[kept++] = entry;
-    } else {
-      release_slot(entry.slot);
-    }
-  }
-  overflow_.resize(kept);
-  std::make_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-  overflow_dead_ = 0;
 }
 
 EventHandle Simulator::schedule(Time delay, Callback cb) {
@@ -350,7 +312,10 @@ std::uint64_t Simulator::earliest_cascade_start() const {
     const unsigned d = static_cast<unsigned>(
         std::countr_zero(std::rotr(bits, static_cast<int>(pos))));
     assert(d != 0);
+    // The occupied bucket holds a tick below 2^63, so its start does too:
+    // at the top level bucket_no + d <= 7 and the shift by 60 cannot wrap.
     const std::uint64_t start = (bucket_no + d) << shift;
+    assert(start < (std::uint64_t{1} << 63));
     best = std::min(best, start);
   }
   return best;
@@ -412,64 +377,19 @@ void Simulator::cascade_at(std::uint64_t boundary) {
   }
 }
 
-const Simulator::OverflowEntry* Simulator::overflow_top() {
-  while (!overflow_.empty()) {
-    const OverflowEntry& top = overflow_.front();
-    if (nodes_[top.slot].gen == top.gen) return &top;
-    const std::uint32_t slot = top.slot;
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-    overflow_.pop_back();
-    release_slot(slot);
-    --overflow_dead_;
-  }
-  return nullptr;
-}
-
-void Simulator::promote_overflow(std::uint64_t head_tick) {
-  // The overflow head is the globally earliest pending event: advance the
-  // cursor to it (no wheel bucket starts before it, or seek would have
-  // cascaded first) and pull in everything near it.
-  if (cursor_ < head_tick) cursor_ = head_tick;
-  boundary_floor_ = 0;
-  while (!overflow_.empty()) {
-    const OverflowEntry top = overflow_.front();
-    if (nodes_[top.slot].gen != top.gen) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-      overflow_.pop_back();
-      release_slot(top.slot);
-      --overflow_dead_;
-      continue;
-    }
-    // Pull only what fits the wide levels 0-1 (no cascading after
-    // promotion); anything further out stays parked in the heap until the
-    // cursor gets close — promoting a dense far-future burst through the
-    // upper levels would pay up to five cascades per event.
-    if ((top.when >> kLevel0Bits) - (cursor_ >> kLevel0Bits) >=
-        kLevel1Buckets) {
-      break;
-    }
-    std::pop_heap(overflow_.begin(), overflow_.end(), std::greater<>{});
-    overflow_.pop_back();
-    --overflow_live_;
-    insert_event(top.slot);
-    ++pend_promotions_;
-  }
-}
-
 bool Simulator::seek(std::uint64_t limit, bool bounded,
                      std::uint64_t* out_tick) {
-  // Advances the cursor — cascading wheel buckets and promoting overflow
-  // entries — until the earliest pending event's exact tick is known.
-  // Returns true with *out_tick when that tick is <= limit; otherwise
-  // parks the cursor at the limit (bounded mode) and returns false. Each
-  // iteration moves at least one event down a level or drains the
-  // overflow head, so every event is touched O(kLevels) times total.
+  // Advances the cursor — cascading wheel buckets — until the earliest
+  // pending event's exact tick is known. Returns true with *out_tick when
+  // that tick is <= limit; otherwise parks the cursor at the limit
+  // (bounded mode) and returns false. Each iteration moves at least one
+  // event down a level, so every event is touched O(kLevels) times total.
   for (;;) {
     const std::uint64_t t0 = earliest_level0();
     if (t0 < boundary_floor_) {
-      // Fast path: the floor proves no cascade or promotion can precede
-      // t0, so the upper levels need no rescan. Parking below the floor
-      // is equally safe — every boundary and resident is past the limit.
+      // Fast path: the floor proves no cascade can precede t0, so the
+      // upper levels need no rescan. Parking below the floor is equally
+      // safe — every boundary and resident is past the limit.
       if (t0 > limit) {
         if (bounded && cursor_ < limit) cursor_ = limit;
         return false;
@@ -478,10 +398,8 @@ bool Simulator::seek(std::uint64_t limit, bool bounded,
       return true;
     }
     const std::uint64_t c = earliest_cascade_start();
-    const OverflowEntry* top = overflow_top();
-    const std::uint64_t h = top != nullptr ? top->when : kInfTick;
-    boundary_floor_ = c < h ? c : h;  // now exact, not just a lower bound
-    const std::uint64_t next = std::min(t0, boundary_floor_);
+    boundary_floor_ = c;  // now exact, not just a lower bound
+    const std::uint64_t next = std::min(t0, c);
     if (next == kInfTick) return false;  // no pending events at all
     if (next > limit) {
       // Nothing due by the limit. Parking the cursor at the limit is safe:
@@ -490,18 +408,11 @@ bool Simulator::seek(std::uint64_t limit, bool bounded,
       if (bounded && cursor_ < limit) cursor_ = limit;
       return false;
     }
-    if (c <= t0 && c <= h) {
-      // Cascade before dispatch/promotion even on ties: the bucket
-      // starting at `c` may hold events at exactly that timestamp with
-      // smaller seqs than anything already at level 0.
+    if (c <= t0) {
+      // Cascade before dispatch even on ties: the bucket starting at `c`
+      // may hold events at exactly that timestamp with smaller seqs than
+      // anything already at level 0.
       cascade_at(c);
-      continue;
-    }
-    if (h <= t0) {
-      // Promote on ties too: an overflow entry sharing t0's timestamp was
-      // necessarily scheduled earlier (smaller seq) and must join the
-      // bucket before it is detached.
-      promote_overflow(h);
       continue;
     }
     *out_tick = t0;
@@ -528,9 +439,9 @@ std::uint64_t Simulator::dispatch_bucket(std::uint64_t tick) {
   cursor_ = tick;
   now_ = Time::nanoseconds(static_cast<std::int64_t>(tick));
 
-  // Detach the whole bucket as a run-list: one batched pop replaces
-  // per-event heap sifts, and the seq sort restores FIFO order among the
-  // bucket's single shared timestamp.
+  // Detach the whole bucket as a run-list: one batched pop per timestamp,
+  // and the seq sort restores FIFO order among the bucket's single shared
+  // timestamp.
   const std::size_t index = tick & (kLevel0Buckets - 1);
   std::uint32_t slot = heads_[index];
   heads_[index] = kNil;
@@ -663,11 +574,8 @@ void Simulator::drop_pending() {
   l1_summary_ = 0;
   l1_words_.fill(0);
   upper_occupied_.fill(0);
-  overflow_.clear();
   run_.clear();
   live_ = 0;
-  overflow_live_ = 0;
-  overflow_dead_ = 0;
   boundary_floor_ = 0;
   // Rebuild the free list from scratch: every slot is released exactly
   // once, and bumping the generation of already-free slots is harmless
@@ -691,13 +599,12 @@ void Simulator::drop_pending() {
   assert(perf::local().segment_pool_live == 0);
 }
 
-void Simulator::flush_perf_counters() {
+void Simulator::flush_perf_counters(std::uint64_t dispatched) {
   perf::Counters& perf = perf::local();
+  perf.events_dispatched += dispatched;
   perf.events_cascaded += pend_cascaded_;
-  perf.overflow_promotions += pend_promotions_;
   perf.timer_buckets_dispatched += pend_buckets_;
   pend_cascaded_ = 0;
-  pend_promotions_ = 0;
   pend_buckets_ = 0;
 }
 
@@ -714,14 +621,7 @@ std::uint64_t Simulator::run_until(Time deadline) {
   // Advance the clock to the deadline so consecutive run_until calls observe
   // contiguous time even when the queue idles.
   if (now_ < deadline) now_ = deadline;
-  perf::Counters& perf = perf::local();
-  perf.events_dispatched += ran;
-  perf.events_cascaded += pend_cascaded_;
-  perf.overflow_promotions += pend_promotions_;
-  perf.timer_buckets_dispatched += pend_buckets_;
-  pend_cascaded_ = 0;
-  pend_promotions_ = 0;
-  pend_buckets_ = 0;
+  flush_perf_counters(ran);
   return ran;
 }
 
@@ -732,14 +632,7 @@ std::uint64_t Simulator::run() {
   while (!stopped_ && seek(kInfTick, /*bounded=*/false, &tick)) {
     ran += dispatch_bucket(tick);
   }
-  perf::Counters& perf = perf::local();
-  perf.events_dispatched += ran;
-  perf.events_cascaded += pend_cascaded_;
-  perf.overflow_promotions += pend_promotions_;
-  perf.timer_buckets_dispatched += pend_buckets_;
-  pend_cascaded_ = 0;
-  pend_promotions_ = 0;
-  pend_buckets_ = 0;
+  flush_perf_counters(ran);
   return ran;
 }
 

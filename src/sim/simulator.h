@@ -16,9 +16,9 @@ class Simulator;
 // generation) ticket into the simulator's event slab: cancelling bumps the
 // slot's generation so any queued reference to it reads as dead, and a
 // stale handle (fired, cancelled, or slot since reused) reads as invalid
-// and cancels nothing. Cancellation is an O(1) intrusive unlink for
-// wheel-resident events — the common case of TCP retransmission timers,
-// which are rearmed on every ACK, never leaves garbage behind.
+// and cancels nothing. Cancellation is an O(1) intrusive unlink, so TCP
+// retransmission timers, which are rearmed on every ACK, never leave
+// garbage behind.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -47,29 +47,24 @@ class EventHandle {
 // Single-threaded discrete-event simulator. Events at equal timestamps fire
 // in scheduling (FIFO) order, which keeps runs deterministic.
 //
-// Hot-path representation: a two-tier scheduler replaces the PR-1 binary
-// heap. Tier one is a hierarchical timer wheel: levels 0 and 1 are wide
-// 4096-bucket windows (1 ns and 4.1 µs buckets respectively, so the
-// microsecond-scale transmission events insert at their final position
-// with no cascading and millisecond-scale RTT events cascade exactly
-// once), topped by five 64-bucket levels whose bucket width is the span
-// of the level below — a total horizon of 2^54 ns, ~208 simulated days.
-// Tier two is a small overflow min-heap for far-future stragglers, which
-// promote into the wheel as the cursor approaches them. Scheduling and cancellation are O(1) (insert is
-// an intrusive push, cancel an intrusive unlink — no lazy garbage, no
-// stop-the-world compaction), and dispatch pops whole level-0 buckets as
-// run-lists instead of per-event heap sifts. Exact (when, seq) dispatch
-// order is preserved: a level-0 bucket holds exactly one timestamp, and
-// its run-list is sorted by seq before executing, so cascade and
-// promotion order can never leak into dispatch order.
+// Representation: one hierarchical timer wheel holds every pending event.
+// Levels 0 and 1 are wide 4096-bucket windows (1 ns and 4.1 µs buckets
+// respectively, so the microsecond-scale transmission events insert at
+// their final position with no cascading and millisecond-scale RTT events
+// cascade exactly once), topped by seven 64-bucket levels whose bucket
+// width is the span of the level below. The top level's buckets are 2^60
+// ns wide, so the wheel covers every non-negative int64 tick. Scheduling
+// and cancellation are O(1) (insert is an intrusive push, cancel an
+// intrusive unlink — no lazy garbage, no stop-the-world compaction), and
+// dispatch pops whole level-0 buckets as run-lists, one batch per
+// timestamp. Exact (when, seq) dispatch order is preserved: a level-0
+// bucket holds exactly one timestamp, and its run-list is sorted by seq
+// before executing, so cascade order can never leak into dispatch order.
 class Simulator {
  public:
   using Callback = sim::Callback;
 
   Simulator() { heads_.fill(kNil); }
-
-  // Identifies the event-queue implementation in bench output.
-  static constexpr const char* scheduler_name() { return "timer-wheel"; }
 
   Time now() const { return now_; }
 
@@ -108,26 +103,19 @@ class Simulator {
 
   std::uint64_t events_executed() const { return executed_; }
 
-  // Authoritative per-tier accounting. live_events() counts scheduled,
-  // not-yet-fired, not-yet-cancelled events; pending_events() adds the
-  // overflow tier's lazily-cancelled residents (wheel cancellation
-  // unlinks eagerly, so the two differ only by overflow zombies awaiting
-  // reclamation — the old `heap size - cancelled` arithmetic is gone).
-  std::size_t pending_events() const { return live_ + overflow_dead_; }
-  std::size_t live_events() const { return live_; }
-
-  // Live events currently parked in the far-future overflow heap (tier
-  // two). Exposed for tests and the queue bench, which assert that
-  // far-future scheduling actually exercises the overflow tier.
-  std::size_t overflow_events() const { return overflow_live_; }
+  // Scheduled, not-yet-fired, not-yet-cancelled events. Cancellation
+  // unlinks eagerly, so no cancelled event is ever counted.
+  std::size_t pending_events() const { return live_; }
 
  private:
   friend class EventHandle;
 
   // Levels 0 and 1: 2^12 buckets each (bitmapped as 64 words + a summary
-  // word), 1 ns and 2^12 ns wide. Upper levels 2..6: 64 buckets each,
+  // word), 1 ns and 2^12 ns wide. Upper levels 2..8: 64 buckets each,
   // level L covering 2^(24 + 6(L-1)) ns. upper_shift(L) = 24 + 6(L-2)
-  // converts a tick to a level-L bucket number for L >= 2.
+  // converts a tick to a level-L bucket number for L >= 2; the top
+  // level's shift is 60, so its 2^63 ns of non-negative ticks use only
+  // buckets 0..7.
   static constexpr int kLevel0Bits = 12;
   static constexpr std::size_t kLevel0Buckets = std::size_t{1}
                                                << kLevel0Bits;
@@ -136,7 +124,7 @@ class Simulator {
                                                << kLevel1Bits;
   static constexpr int kUpperBits = 6;
   static constexpr std::size_t kBuckets = std::size_t{1} << kUpperBits;
-  static constexpr int kLevels = 7;  // levels 0-1 wide + 5 upper levels
+  static constexpr int kLevels = 9;  // levels 0-1 wide + 7 upper levels
   static constexpr std::size_t kUpperBase = kLevel0Buckets + kLevel1Buckets;
   static constexpr std::size_t kWheelBuckets =
       kUpperBase + (kLevels - 2) * kBuckets;
@@ -148,9 +136,8 @@ class Simulator {
   }
 
   // EventNode::where values: 0..kWheelBuckets-1 name the containing wheel
-  // bucket (level 0, then level 1, then level 2..6 blocks of 64); the
+  // bucket (level 0, then level 1, then level 2..8 blocks of 64); the
   // sentinels mark the other residences.
-  static constexpr std::uint16_t kWhereOverflow = 0xFFFD;
   static constexpr std::uint16_t kWhereRun = 0xFFFE;
   static constexpr std::uint16_t kWhereNone = 0xFFFF;
 
@@ -178,19 +165,6 @@ class Simulator {
     Time interval{};  // > zero() for periodic events
   };
 
-  // Overflow-tier entry: trivially copyable, heap-sifted by (when, seq).
-  struct OverflowEntry {
-    std::uint64_t when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-
-    bool operator>(const OverflowEntry& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
-
   // Detached level-0 bucket entry awaiting dispatch, sorted by seq (the
   // whole bucket shares one timestamp).
   struct RunEntry {
@@ -211,11 +185,8 @@ class Simulator {
   bool event_pending(std::uint32_t slot, std::uint32_t gen) const;
   std::uint64_t earliest_level0() const;
   std::uint64_t earliest_cascade_start() const;
-  void flush_perf_counters();
+  void flush_perf_counters(std::uint64_t dispatched);
   void cascade_at(std::uint64_t boundary);
-  void promote_overflow(std::uint64_t head_tick);
-  const OverflowEntry* overflow_top();
-  void maybe_scrub_overflow();
   bool seek(std::uint64_t limit, bool bounded, std::uint64_t* out_tick);
   std::uint64_t dispatch_bucket(std::uint64_t tick);
   void requeue_run_tail(std::size_t from);
@@ -230,21 +201,18 @@ class Simulator {
   std::uint32_t in_flight_slot_ = 0;
   std::uint32_t in_flight_gen_ = 0;
   std::uint64_t dispatch_tick_ = 0;
-  std::size_t live_ = 0;           // scheduled and not cancelled, all tiers
-  std::size_t overflow_live_ = 0;  // live events in the overflow heap
-  std::size_t overflow_dead_ = 0;  // cancelled entries awaiting reclamation
-  // Lower bound on the next cascade-or-promotion boundary; 0 means
+  std::size_t live_ = 0;  // scheduled and not cancelled
+  // Lower bound on the next cascade boundary; 0 means
   // unknown (forces the full per-level scan). While the earliest level-0
   // tick stays below this floor, seek() can dispatch without rescanning
   // the upper levels — the common case when a burst of near-future
-  // events drains. Inserts into the upper tiers pull the floor down;
+  // events drains. Inserts into the upper levels pull the floor down;
   // consuming a boundary resets it to 0.
   std::uint64_t boundary_floor_ = 0;
   // Scheduler work counters, accumulated locally and flushed into the
   // thread-local perf::Counters once per run_* call — the dispatch loop
   // never pays a TLS lookup per event.
   std::uint64_t pend_cascaded_ = 0;
-  std::uint64_t pend_promotions_ = 0;
   std::uint64_t pend_buckets_ = 0;
   std::vector<EventNode> nodes_;  // hot intrusive nodes, indexed by slot
   std::vector<EventData> data_;   // cold callback/interval, same indexing
@@ -259,8 +227,7 @@ class Simulator {
   std::uint64_t l1_summary_ = 0;
   std::array<std::uint64_t, kLevel1Buckets / 64> l1_words_{};
   std::array<std::uint64_t, kLevels> upper_occupied_{};
-  std::vector<OverflowEntry> overflow_;  // min-heap via std::*_heap + greater
-  std::vector<RunEntry> run_;            // scratch run-list, reused
+  std::vector<RunEntry> run_;  // scratch run-list, reused
 };
 
 inline void EventHandle::cancel() {

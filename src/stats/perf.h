@@ -23,8 +23,6 @@ struct Counters {
   std::uint64_t segment_heap_allocs = 0;  // operator-new hits on the segment
                                           // path (per-segment pre-pool; one
                                           // per slab refill with the pool)
-  std::uint64_t sack_heap_spills = 0;     // SACK block sets past the inline
-                                          // capacity (pathological reordering)
 
   // -- segment pool gauges (absolute values, not deltas) --
   std::uint64_t segment_pool_live = 0;        // checked out right now
@@ -38,13 +36,11 @@ struct Counters {
 
   // -- timer-wheel scheduler (sim/simulator.h) --
   // These replace the retired compaction gauge: wheel cancellation unlinks
-  // eagerly, so there is nothing left to compact. All three are functions
-  // of the event schedule alone (never of wall time or thread count), so
+  // eagerly, so there is nothing left to compact. Both are functions of
+  // the event schedule alone (never of wall time or thread count), so
   // they are safe to include in byte-identical multi-thread bench output.
   std::uint64_t events_cascaded = 0;        // events redistributed to a lower
                                             // wheel level as the cursor turned
-  std::uint64_t overflow_promotions = 0;    // far-future events pulled from
-                                            // the overflow heap into the wheel
   std::uint64_t timer_buckets_dispatched = 0;  // level-0 buckets detached and
                                                // run as batched run-lists
 

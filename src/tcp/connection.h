@@ -149,12 +149,7 @@ class TcpConnection {
   std::uint64_t bytes_acked() const;
   std::uint64_t bytes_received() const;
   std::optional<sim::Time> srtt() const;
-  sim::Time last_activity() const { return last_activity_; }
-  bool in_recovery() const { return in_recovery_; }
   const ConnectionStats& stats() const { return stats_; }
-  std::uint64_t send_queue_bytes() const {
-    return data_end_seq() > snd_nxt_ ? data_end_seq() - snd_nxt_ : 0;
-  }
 
  private:
   // -- segment construction --

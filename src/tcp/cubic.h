@@ -50,6 +50,9 @@ class Cubic : public CongestionControl {
   static constexpr double kBeta = 0.7;  // multiplicative decrease factor
 
   std::uint32_t mss_;
+  // Declared beside mss_ so the three share one 8-byte slot.
+  bool in_recovery_ = false;
+  CcSignal signal_ = CcSignal::kNone;
   std::uint64_t initial_cwnd_;
   std::uint64_t cwnd_;
   std::uint64_t ssthresh_ = std::numeric_limits<std::uint64_t>::max();
@@ -59,11 +62,9 @@ class Cubic : public CongestionControl {
   std::optional<sim::Time> epoch_start_; // start of current cubic epoch
   double w_est_segments_ = 0.0;          // TCP-friendly estimate
   sim::Time last_rtt_ = sim::Time::milliseconds(100);  // fallback until sampled
-  bool in_recovery_ = false;
 
   // Allocated only when HyStart is on (it is off by default).
   std::unique_ptr<Hystart> hystart_;
-  CcSignal signal_ = CcSignal::kNone;
 };
 
 }  // namespace riptide::tcp

@@ -56,15 +56,4 @@ std::uint64_t ReceiveTracker::out_of_order_bytes() const {
   return total;
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>> ReceiveTracker::intervals(
-    std::size_t max_intervals) const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  out.reserve(std::min(max_intervals, ooo_.size()));
-  for (const auto& [s, e] : ooo_) {
-    if (out.size() >= max_intervals) break;
-    out.emplace_back(s, e);
-  }
-  return out;
-}
-
 }  // namespace riptide::tcp

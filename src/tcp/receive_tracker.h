@@ -1,9 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <utility>
-#include <vector>
 
 namespace riptide::tcp {
 
@@ -28,13 +27,9 @@ class ReceiveTracker {
   std::size_t out_of_order_intervals() const { return ooo_.size(); }
   std::uint64_t out_of_order_bytes() const;
 
-  // Up to `max_intervals` out-of-order ranges in ascending order — the
-  // material for SACK blocks.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals(
-      std::size_t max_intervals) const;
-
-  // Allocation-free variant: appends the same ranges into any container
-  // with push_back (the segment's inline SackBlocks on the hot path).
+  // Appends up to `max_intervals` out-of-order ranges, in ascending order,
+  // to any container with push_back — the material for SACK blocks (the
+  // segment's SackBlocks on the hot path).
   template <typename Out>
   void fill_intervals(Out& out, std::size_t max_intervals) const {
     std::size_t n = 0;

@@ -1,82 +1,43 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "net/packet.h"
-#include "stats/perf.h"
 
 namespace riptide::tcp {
 
 class SegmentPool;
 
-// SACK blocks with small-buffer storage: real ACKs carry at most 3 blocks
-// (RFC 2018 with timestamps; the sender caps at 3 too), so the common case
-// lives entirely inside the segment with zero heap traffic. Pathological
-// reordering past the inline capacity spills to a heap vector and bumps
-// the `sack_heap_spills` perf counter so the spill rate stays observable.
+// SACK blocks, stored in the segment: real ACKs carry at most 3 blocks
+// (RFC 2018 with timestamps), and the one producer,
+// TcpConnection::make_segment, caps at kInlineCapacity, so a segment never
+// allocates for them.
 class SackBlocks {
  public:
   using Block = std::pair<std::uint64_t, std::uint64_t>;  // [start, end)
   static constexpr std::size_t kInlineCapacity = 3;
 
-  SackBlocks() = default;
-  SackBlocks(const SackBlocks& other) { *this = other; }
-  SackBlocks& operator=(const SackBlocks& other) {
-    if (this == &other) return *this;
-    size_ = other.size_;
-    inline_ = other.inline_;
-    spill_ = other.spill_ ? std::make_unique<std::vector<Block>>(*other.spill_)
-                          : nullptr;
-    return *this;
-  }
-  SackBlocks(SackBlocks&&) noexcept = default;
-  SackBlocks& operator=(SackBlocks&&) noexcept = default;
-
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-
-  void clear() {
-    size_ = 0;
-    spill_.reset();
-  }
+  void clear() { size_ = 0; }
 
   void push_back(const Block& block) {
-    if (size_ < kInlineCapacity) {
-      inline_[size_++] = block;
-      return;
-    }
-    if (!spill_) {
-      ++perf::local().sack_heap_spills;
-      spill_ = std::make_unique<std::vector<Block>>();
-    }
-    spill_->push_back(block);
-    ++size_;
+    assert(size_ < kInlineCapacity);
+    blocks_[size_++] = block;
   }
 
-  const Block& operator[](std::size_t i) const {
-    return i < kInlineCapacity ? inline_[i] : (*spill_)[i - kInlineCapacity];
-  }
-
-  // Iteration: contiguous only while within the inline buffer, which is
-  // the invariant for every segment the stack itself builds (senders cap
-  // at kInlineCapacity blocks). Spilled sets fall back to operator[].
-  const Block* begin() const { return inline_.data(); }
-  const Block* end() const {
-    return inline_.data() + (size_ < kInlineCapacity ? size_ : kInlineCapacity);
-  }
-  bool spilled() const { return spill_ != nullptr; }
+  const Block* begin() const { return blocks_.data(); }
+  const Block* end() const { return blocks_.data() + size_; }
 
  private:
-  std::array<Block, kInlineCapacity> inline_{};
+  std::array<Block, kInlineCapacity> blocks_{};
   std::uint32_t size_ = 0;
-  std::unique_ptr<std::vector<Block>> spill_;
 };
 
 // A TCP segment. Sequence numbers are 64-bit absolute byte offsets starting

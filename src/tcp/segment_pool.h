@@ -43,7 +43,6 @@ class SegmentPool {
   SegmentRef allocate();
 
   std::size_t live() const { return live_; }
-  std::size_t free_count() const { return free_.size(); }
   std::size_t capacity() const { return slabs_.size() * kSlabSegments; }
 
  private:

@@ -89,7 +89,8 @@ TEST(FlowLevelLoadTest, AppliesAndReleasesLoad) {
   sim.run_until(Time::seconds(5));
   EXPECT_GT(load.flows_started(), 100u);
   EXPECT_GT(load.flows_completed(), 0u);
-  EXPECT_LE(load.offered_bps(), fcfg.max_utilization * cfg.rate_bps + 1.0);
+  EXPECT_LE(load.offered_bps(),
+            flow::FlowLevelLoad::kMaxUtilization * cfg.rate_bps + 1.0);
   EXPECT_EQ(load.flows_started() - load.flows_completed(),
             load.active_flows());
 }

@@ -5,6 +5,7 @@
 #include "host/host.h"
 #include "host/routing_table.h"
 #include "tcp/cubic.h"
+#include "tcp/segment.h"
 #include "test_util.h"
 
 namespace riptide::host {
@@ -15,11 +16,13 @@ using sim::Time;
 
 // What one socket costs: a paper world keeps about 21.5k of them alive,
 // each a TcpConnection in its host's table node plus its controller (Cubic
-// by default). Pinned so that a member added later shows its per-socket
-// cost in review. The sizes are libstdc++'s on a 64-bit target.
+// by default). A pooled segment with its three SACK blocks fills exactly
+// two cache lines. Pinned so that a member added later shows its cost in
+// review. The sizes are libstdc++'s on a 64-bit target.
 #if defined(__GLIBCXX__) && INTPTR_MAX == INT64_MAX
 static_assert(sizeof(tcp::TcpConnection) == 576);
-static_assert(sizeof(tcp::Cubic) == 112);
+static_assert(sizeof(tcp::Cubic) == 96);
+static_assert(sizeof(tcp::Segment) == 128);
 #endif
 
 // ------------------------------------------------------------ RoutingTable

@@ -49,7 +49,7 @@ TEST(ProbeServerTest, ServesObjectSizedByRequest) {
   tcp::TcpConnection::Callbacks cbs;
   cbs.on_established = [&] { conn->send(50); };  // 50 B -> 50 KB object
   cbs.on_data = [&](std::uint64_t bytes) { received += bytes; };
-  conn = &net.a.connect(net.b.address(), ProbeServer::kDefaultPort,
+  conn = &net.a.connect(net.b.address(), ProbeServer::kPort,
                         std::move(cbs));
   net.sim.run_until(Time::seconds(3));
   EXPECT_EQ(received, 50'000u);
@@ -67,7 +67,7 @@ TEST(ProbeServerTest, SequentialRequestsOnOneConnection) {
   tcp::TcpConnection::Callbacks cbs;
   cbs.on_established = [&] { conn->send(10); };
   cbs.on_data = [&](std::uint64_t bytes) { received += bytes; };
-  conn = &net.a.connect(net.b.address(), ProbeServer::kDefaultPort,
+  conn = &net.a.connect(net.b.address(), ProbeServer::kPort,
                         std::move(cbs));
   net.sim.run_until(Time::seconds(2));
   ASSERT_EQ(received, 10'000u);
@@ -75,11 +75,6 @@ TEST(ProbeServerTest, SequentialRequestsOnOneConnection) {
   net.sim.run_until(Time::seconds(5));
   EXPECT_EQ(received, 110'000u);
   EXPECT_EQ(server.objects_served(), 2u);
-}
-
-TEST(ProbeServerTest, RejectsZeroScale) {
-  TwoHostNet net(Time::milliseconds(10));
-  EXPECT_THROW(ProbeServer(net.b, 9000, 0), std::invalid_argument);
 }
 
 TEST(ProbeClientTest, CompletesAllThreeSizesEachRound) {
@@ -190,10 +185,11 @@ TEST(ProbeClientTest, UnencodableObjectSizeThrows) {
 
 TEST(SinkServerTest, ConsumesBytes) {
   TwoHostNet net(Time::milliseconds(10));
-  SinkServer sink(net.b, 9900);
+  SinkServer sink(net.b);
   sink.start();
   tcp::TcpConnection::Callbacks cbs;
-  auto& conn = net.a.connect(net.b.address(), 9900, std::move(cbs));
+  auto& conn =
+      net.a.connect(net.b.address(), SinkServer::kPort, std::move(cbs));
   net.sim.run_until(Time::milliseconds(100));
   conn.send(123'456);
   net.sim.run_until(Time::seconds(5));
@@ -205,7 +201,7 @@ TEST(SinkServerTest, ConsumesBytes) {
 
 TEST(OrganicSourceTest, GeneratesTrafficToSink) {
   TwoHostNet net(Time::milliseconds(10));
-  SinkServer sink(net.b, 9900);
+  SinkServer sink(net.b);
   sink.start();
   OrganicSourceConfig config;
   config.mean_interarrival_seconds = 0.05;
@@ -218,7 +214,7 @@ TEST(OrganicSourceTest, GeneratesTrafficToSink) {
 
 TEST(OrganicSourceTest, CloseProbabilityForcesNewConnections) {
   TwoHostNet net(Time::milliseconds(10));
-  SinkServer sink(net.b, 9900);
+  SinkServer sink(net.b);
   sink.start();
   OrganicSourceConfig config;
   config.mean_interarrival_seconds = 0.05;

@@ -1,10 +1,10 @@
-// Scheduler-specific suite for the two-tier timer-wheel event queue
+// Scheduler-specific suite for the timer-wheel event queue
 // (sim/simulator.{h,cc}): a differential property test that drives random
 // schedule/cancel/run_until interleavings through the wheel and a
 // reference model and demands identical (when, seq) dispatch order, plus
-// directed tests for the seams the wheel added — overflow promotion,
-// cascade boundaries, run-list requeue on stop()/throw, and the per-tier
-// accounting and perf counters the benches rely on.
+// directed tests for the seams the wheel added — the top levels that hold
+// far-future events, cascade boundaries, run-list requeue on stop()/throw,
+// and the pending count and perf counters the benches rely on.
 //
 // Registered under the `sched` ctest label so CI can run the scheduler
 // suite on its own (including under ASan/UBSan).
@@ -31,8 +31,8 @@ namespace {
 // Reference model: the scheduler contract is "events fire in (when, seq)
 // order, cancelled events do not fire". The model keeps every scheduled
 // event with its global seq and replays them with a stable sort — no
-// wheel, no heap — so any divergence indicts the wheel's cascade /
-// promotion / run-list machinery.
+// wheel — so any divergence indicts the wheel's cascade / run-list
+// machinery.
 struct ModelEvent {
   std::int64_t when_ns;
   std::uint64_t seq;
@@ -84,12 +84,14 @@ class ReferenceModel {
   std::vector<ModelEvent> events_;
 };
 
-// Delay magnitudes spanning every tier of the wheel: same-tick, level-0
-// (ns..µs), level-1 (µs..ms), the coarse upper levels (ms..days), and
-// past-the-horizon overflow (the wheel spans ~208 days; Time::hours(6000)
-// = 250 days lands in the overflow heap).
+// Delay magnitudes spanning the wheel's levels: same-tick, level-0
+// (ns..µs), level-1 (µs..ms), the coarse upper levels (ms..days), level 7
+// (Time::hours(6000) = 250 days, past 2^54 ns) and level 8 (2^56..2^58
+// ns, ~2..9 simulated years, the top level from any cursor past 2^60 ns).
+// Nothing larger: the run adds delays and steps of this size thousands of
+// times, and now() + delay must stay below 2^63 ns.
 std::int64_t random_delay_ns(Rng& rng) {
-  switch (rng.uniform_int(0, 6)) {
+  switch (rng.uniform_int(0, 7)) {
     case 0: return 0;
     case 1: return rng.uniform_int(1, 4095);                       // level 0
     case 2: return rng.uniform_int(4096, 1 << 24);                 // level 1
@@ -98,9 +100,11 @@ std::int64_t random_delay_ns(Rng& rng) {
                                    std::int64_t{1} << 44);
     case 5: return rng.uniform_int(std::int64_t{1} << 50,
                                    std::int64_t{1} << 53);
-    default:
+    case 6:
       return Time::hours(6000).ns() +
-             rng.uniform_int(0, std::int64_t{1} << 30);  // overflow tier
+             rng.uniform_int(0, std::int64_t{1} << 30);  // level 7
+    default:
+      return rng.uniform_int(std::int64_t{1} << 56, std::int64_t{1} << 58);
   }
 }
 
@@ -133,22 +137,21 @@ TEST(SchedulerPropertyTest, MatchesReferenceModelAcrossRandomInterleavings) {
         model.cancel(live[pick].first);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       } else {
-        // Step sizes again span the tiers, so run_until deadlines land
-        // mid-bucket, on cascade boundaries, and across promotions.
+        // Step sizes again span the levels, so run_until deadlines land
+        // mid-bucket and on cascade boundaries.
         const std::int64_t step = random_delay_ns(rng) / 16 + 1;
         const Time deadline = sim.now() + Time::nanoseconds(step);
         sim.run_until(deadline);
         model.run_until(deadline.ns(), model_log);
         ASSERT_EQ(sim_log, model_log) << "seed " << seed << " op " << op;
-        ASSERT_EQ(sim.live_events(), model.live())
+        ASSERT_EQ(sim.pending_events(), model.live())
             << "seed " << seed << " op " << op;
       }
     }
-    // Drain everything, overflow tier included.
+    // Drain everything, the top levels included.
     sim.run();
     model.run_until(std::numeric_limits<std::int64_t>::max(), model_log);
     EXPECT_EQ(sim_log, model_log) << "seed " << seed;
-    EXPECT_EQ(sim.live_events(), 0u);
     EXPECT_EQ(sim.pending_events(), 0u);
   }
 }
@@ -169,42 +172,40 @@ TEST(SchedulerTest, SameTickScheduleFromCallbackRunsAfterBucketFifo) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(SchedulerTest, FarFutureEventsParkInOverflowAndPromote) {
+TEST(SchedulerTest, FarFutureEventsFireFromTheTopLevels) {
   Simulator sim;
-  const perf::Counters before = perf::local();
   std::vector<int> order;
-  // Beyond the ~208-day wheel horizon: must park in the overflow heap.
+  // 6000 h (past 2^54 ns) sits at level 7 and the largest tick at level
+  // 8; both cascade down through every level below before they fire.
+  const Time last = Time::nanoseconds(std::numeric_limits<std::int64_t>::max());
   sim.schedule(Time::hours(6000), [&] { order.push_back(2); });
+  sim.schedule_at(last, [&] { order.push_back(4); });
   sim.schedule(Time::hours(6000) + Time::nanoseconds(1),
                [&] { order.push_back(3); });
   sim.schedule(Time::milliseconds(1), [&] { order.push_back(1); });
-  EXPECT_EQ(sim.overflow_events(), 2u);
-  EXPECT_EQ(sim.live_events(), 3u);
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.overflow_events(), 0u);
-  const perf::Counters delta = perf::local().delta_since(before);
-  EXPECT_EQ(delta.overflow_promotions, 2u);
+  sim.schedule_at(last, [&] { order.push_back(5); });
+  EXPECT_EQ(sim.pending_events(), 5u);
+  EXPECT_EQ(sim.run(), 5u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), last);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(SchedulerTest, WheelCancellationIsEagerOverflowIsLazy) {
+TEST(SchedulerTest, CancellationIsEagerAtEveryLevel) {
   Simulator sim;
-  std::vector<EventHandle> wheel;
+  std::vector<EventHandle> near;
   for (int i = 0; i < 100; ++i) {
-    wheel.push_back(sim.schedule(Time::milliseconds(i + 1), [] {}));
+    near.push_back(sim.schedule(Time::milliseconds(i + 1), [] {}));
   }
   EventHandle far = sim.schedule(Time::hours(6000), [] {});
   EXPECT_EQ(sim.pending_events(), 101u);
-  for (auto& h : wheel) h.cancel();
-  // Wheel residents unlink immediately; no zombies left behind.
-  EXPECT_EQ(sim.live_events(), 1u);
+  for (auto& h : near) h.cancel();
+  // Every cancellation unlinks at once; nothing cancelled stays counted.
   EXPECT_EQ(sim.pending_events(), 1u);
   far.cancel();
-  // The overflow entry dies in place and is reclaimed lazily.
-  EXPECT_EQ(sim.live_events(), 0u);
-  EXPECT_EQ(sim.pending_events(), 1u);
-  EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(sim.now(), Time::zero());
 }
 
 TEST(SchedulerTest, StopMidBucketRequeuesRemainderInOrder) {
@@ -270,7 +271,6 @@ TEST(SchedulerTest, CascadeAndBucketCountersAttributeWork) {
   EXPECT_EQ(delta.events_dispatched, 3u);
   EXPECT_GE(delta.events_cascaded, 2u);       // both 5 ms events moved down
   EXPECT_EQ(delta.timer_buckets_dispatched, 2u);  // two distinct timestamps
-  EXPECT_EQ(delta.overflow_promotions, 0u);
 }
 
 TEST(SchedulerTest, RearmChurnLeavesNoGarbage) {

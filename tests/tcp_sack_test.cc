@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "tcp/receive_tracker.h"
 #include "test_util.h"
 
@@ -44,18 +49,26 @@ struct PushWorld {
   std::uint64_t received = 0;
 };
 
+using Intervals = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Intervals intervals_of(const ReceiveTracker& t, std::size_t max_intervals) {
+  Intervals out;
+  t.fill_intervals(out, max_intervals);
+  return out;
+}
+
 TEST(ReceiveTrackerSackTest, IntervalsExposedInOrder) {
   ReceiveTracker t(0);
   t.on_segment(100, 200);
   t.on_segment(400, 500);
   t.on_segment(700, 800);
-  const auto blocks = t.intervals(2);
+  const Intervals blocks = intervals_of(t, 2);
   ASSERT_EQ(blocks.size(), 2u);
   EXPECT_EQ(blocks[0].first, 100u);
   EXPECT_EQ(blocks[0].second, 200u);
   EXPECT_EQ(blocks[1].first, 400u);
   EXPECT_EQ(blocks[1].second, 500u);
-  EXPECT_EQ(t.intervals(10).size(), 3u);
+  EXPECT_EQ(intervals_of(t, 10).size(), 3u);
 }
 
 TEST(SackTest, AckCarriesBlocksOnlyWhenEnabled) {
@@ -95,7 +108,59 @@ TEST(SackTest, AtMostThreeBlocksAdvertised) {
     t.on_segment(static_cast<std::uint64_t>(i) * 200,
                  static_cast<std::uint64_t>(i) * 200 + 100);
   }
-  EXPECT_EQ(t.intervals(3).size(), 3u);
+  EXPECT_EQ(intervals_of(t, 3).size(), 3u);
+}
+
+TEST(SackTest, FiveHolesAdvertiseTheThreeLowestRanges) {
+  // The first flight loses data segments 1, 3, 5, 7 and 9, so the
+  // receiver holds five out-of-order ranges: 2, 4, 6, 8 and 10 onward.
+  // Its ACKs carry the three lowest; the rest never reach the wire.
+  TcpConfig config = sack_config();
+  config.initial_cwnd_segments = 16;
+  PushWorld world(config);
+  const std::uint64_t first_data_seq = 1;  // the SYN took sequence 0
+  auto segment_start = [&](std::uint64_t i) {
+    return first_data_seq + i * kMss;
+  };
+  std::vector<std::uint64_t> dropped;
+  ReceiveTracker delivered(first_data_seq);
+  std::size_t most_ranges = 0;
+  world.net.filter_ba.set_drop_predicate([&](const net::Packet& p) {
+    const auto* seg = dynamic_cast<const Segment*>(p.payload.get());
+    if (seg == nullptr || seg->payload_bytes == 0) return false;
+    const std::uint64_t index = (seg->seq - first_data_seq) / kMss;
+    if (index < 10 && index % 2 == 1 &&
+        std::find(dropped.begin(), dropped.end(), index) == dropped.end()) {
+      dropped.push_back(index);
+      return true;
+    }
+    delivered.on_segment(seg->seq, seg->seq_end());
+    most_ranges = std::max(most_ranges, delivered.out_of_order_intervals());
+    return false;
+  });
+  Intervals last_blocks_before_repair;
+  std::size_t most_blocks = 0;
+  world.net.filter_ab.set_drop_predicate([&](const net::Packet& p) {
+    const auto* seg = dynamic_cast<const Segment*>(p.payload.get());
+    if (seg == nullptr) return false;
+    most_blocks = std::max(most_blocks, seg->sack_blocks.size());
+    if (seg->ack == segment_start(1) && !seg->sack_blocks.empty()) {
+      last_blocks_before_repair.assign(seg->sack_blocks.begin(),
+                                       seg->sack_blocks.end());
+    }
+    return false;
+  });
+  world.push_from_server(40 * kMss);
+  world.net.sim.run_until(Time::seconds(10));
+
+  EXPECT_EQ(world.received, 40u * kMss);
+  EXPECT_EQ(dropped.size(), 5u);
+  EXPECT_EQ(most_ranges, 5u);
+  EXPECT_EQ(most_blocks, SackBlocks::kInlineCapacity);
+  EXPECT_EQ(last_blocks_before_repair,
+            (Intervals{{segment_start(2), segment_start(3)},
+                       {segment_start(4), segment_start(5)},
+                       {segment_start(6), segment_start(7)}}));
 }
 
 TEST(SackTest, SingleLossRetransmittedExactlyOnce) {

@@ -73,7 +73,9 @@ python3 tools/max_rss.py -- ./build-ci-release/tools/riptide_sim --pops 34 \
   --ttl 90 --cmax 100 | tail -n 1 || true
 
 # Event-queue bench diff (informational, never a gate): one JSONL row per
-# workload, diffed against the checked-in wheel-vs-heap baseline.
+# workload, diffed against BENCH_eventwheel.json, the record of the wheel's
+# introduction. Its far_future row measured a far-future tier the wheel no
+# longer has, so that row's diff is advisory.
 echo "==== event-queue throughput (Release) ===="
 ./build-ci-release/bench/bench_micro --queue-json \
   | tee build-ci-release/BENCH_eventwheel.ci.json
