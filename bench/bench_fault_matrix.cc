@@ -39,6 +39,7 @@
 #include "stats/perf.h"
 #include "runner/sweep.h"
 #include "runner/task_pool.h"
+#include "sim/number.h"
 #include "bench_util.h"
 
 using namespace riptide;
@@ -153,19 +154,21 @@ struct Options {
 Options parse_args(int argc, char** argv) {
   bench::warn_if_unoptimized();
   Options opt;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--seeds a,b,c] [--json] "
+                 "[--spec \"<fault spec>\"] [--duration S] [--pops N]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
       opt.base.threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.base.seeds.clear();
-      const char* p = argv[++i];
-      while (*p != '\0') {
-        char* end = nullptr;
-        opt.base.seeds.push_back(std::strtoull(p, &end, 10));
-        p = (*end == ',') ? end + 1 : end;
-      }
-      if (opt.base.seeds.empty()) opt.base.seeds = {1};
+      auto seeds = sim::read_u64_list(argv[++i]);
+      if (!seeds) usage();
+      opt.base.seeds = std::move(*seeds);
     } else if (arg == "--json") {
       opt.base.json = true;
     } else if (arg == "--spec" && i + 1 < argc) {
@@ -176,11 +179,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--pops" && i + 1 < argc) {
       opt.pops = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--seeds a,b,c] [--json] "
-                   "[--spec \"<fault spec>\"] [--duration S] [--pops N]\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
   return opt;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cdn/experiment.h"
+#include "sim/number.h"
 #include "stats/cdf.h"
 
 namespace riptide::bench {
@@ -15,7 +16,8 @@ namespace riptide::bench {
 // Options shared by every bench driver. All benches accept:
 //   --threads N     worker threads for independent experiment runs
 //                   (0/default = one per hardware thread)
-//   --seeds a,b,c   seeds to sweep where the bench supports it
+//   --seeds a,b,c   seeds to sweep where the bench supports it (whole
+//                   numbers; anything else prints the usage and exits 2)
 //   --json          additionally emit machine-readable result lines
 //   --trace PATH    enable decision-audit tracing on simulation benches;
 //                   "{label}"/"{index}" in PATH expand per run, so one
@@ -41,29 +43,27 @@ inline void warn_if_unoptimized() {
 inline BenchOptions parse_bench_options(int argc, char** argv) {
   warn_if_unoptimized();
   BenchOptions opt;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--threads N] [--seeds a,b,c] [--json] "
+                 "[--trace PATH]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads" && i + 1 < argc) {
       opt.threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (arg == "--seeds" && i + 1 < argc) {
-      opt.seeds.clear();
-      const char* p = argv[++i];
-      while (*p != '\0') {
-        char* end = nullptr;
-        opt.seeds.push_back(std::strtoull(p, &end, 10));
-        p = (*end == ',') ? end + 1 : end;
-      }
-      if (opt.seeds.empty()) opt.seeds = {1};
+      auto seeds = sim::read_u64_list(argv[++i]);
+      if (!seeds) usage();
+      opt.seeds = std::move(*seeds);
     } else if (arg == "--json") {
       opt.json = true;
     } else if (arg == "--trace" && i + 1 < argc) {
       opt.trace_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--seeds a,b,c] [--json] "
-                   "[--trace PATH]\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
   return opt;

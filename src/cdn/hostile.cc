@@ -1,12 +1,10 @@
 #include "cdn/hostile.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
 #include "cdn/traffic.h"
+#include "sim/number.h"
 #include "tcp/connection.h"
 
 namespace riptide::cdn {
@@ -22,18 +20,6 @@ const char* to_string(HostileKind kind) {
   return "?";
 }
 
-bool operator==(const HostileConfig& a, const HostileConfig& b) {
-  return a.kind == b.kind && a.queue_packets == b.queue_packets &&
-         a.victim_pop == b.victim_pop &&
-         a.fanin_connections == b.fanin_connections &&
-         a.burst_bytes == b.burst_bytes && a.incast_start == b.incast_start &&
-         a.incast_interval == b.incast_interval && a.crowd_at == b.crowd_at &&
-         a.crowd_connections == b.crowd_connections &&
-         a.crowd_bytes == b.crowd_bytes &&
-         a.crowd_repeats == b.crowd_repeats &&
-         a.crowd_period == b.crowd_period;
-}
-
 namespace {
 
 [[noreturn]] void bad_spec(const std::string& why, const std::string& token,
@@ -42,34 +28,23 @@ namespace {
                               std::to_string(offset) + ": '" + token + "'");
 }
 
-// Full-match numeric parsing: trailing garbage after the number is an
-// error, not silently ignored — this grammar is a fuzz surface and every
-// malformed input must land on the same typed exception.
+// Whole-token numbers: trailing garbage after the number is an error, not
+// silently ignored — this grammar is a fuzz surface and every malformed
+// input must land on the same typed exception.
 std::uint64_t parse_u64(const std::string& text, std::uint64_t max,
                         std::size_t offset) {
-  if (text.empty()) bad_spec("empty numeric value", text, offset);
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_spec("bad integer", text, offset);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || value > max) {
-    bad_spec("integer out of range", text, offset);
-  }
-  return value;
+  const auto value = sim::read_u64(text);
+  if (!value) bad_spec("bad integer", text, offset);
+  if (*value > max) bad_spec("integer out of range", text, offset);
+  return *value;
 }
 
 sim::Time parse_time_seconds(const std::string& text, std::size_t offset) {
-  if (text.empty()) bad_spec("empty time value", text, offset);
-  errno = 0;
-  char* end = nullptr;
-  const double seconds = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() ||
-      !std::isfinite(seconds) || seconds < 0.0 || seconds > 1e6) {
+  const auto seconds = sim::read_double(text);
+  if (!seconds || *seconds < 0.0 || *seconds > 1e6) {
     bad_spec("bad time", text, offset);
   }
-  return sim::Time::from_seconds(seconds);
+  return sim::Time::from_seconds(*seconds);
 }
 
 }  // namespace

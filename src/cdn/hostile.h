@@ -53,10 +53,11 @@ struct HostileConfig {
   std::uint64_t crowd_bytes = 200'000;
   int crowd_repeats = 2;
   sim::Time crowd_period = sim::Time::seconds(30);
-};
 
-// Field-wise equality, for spec round-trip checks and the chaos shrinker.
-bool operator==(const HostileConfig& a, const HostileConfig& b);
+  // Field-wise, for spec round-trip checks and the chaos shrinker.
+  friend bool operator==(const HostileConfig&,
+                         const HostileConfig&) = default;
+};
 
 // Parses "name" or "name:key=val,key=val,...". Names: none,
 // shallow-buffer, incast, flash-crowd, combined. Keys: queue, victim,

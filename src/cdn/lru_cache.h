@@ -51,7 +51,6 @@ class LruCache {
 
   std::uint64_t size_bytes() const { return size_bytes_; }
   std::size_t entries() const { return order_.size(); }
-  std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }

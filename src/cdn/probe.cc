@@ -1,6 +1,5 @@
 #include "cdn/probe.h"
 
-#include <stdexcept>
 #include <utility>
 
 namespace riptide::cdn {
@@ -8,6 +7,15 @@ namespace riptide::cdn {
 std::vector<ProbeSpec> default_probe_specs() {
   return {ProbeSpec{10 * 1000}, ProbeSpec{50 * 1000}, ProbeSpec{100 * 1000}};
 }
+
+namespace {
+
+// The one-segment request whose length names `spec`'s object.
+std::uint32_t request_bytes_for(const ProbeSpec& spec) {
+  return static_cast<std::uint32_t>(spec.object_bytes / ProbeServer::kScale);
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------- server
 
@@ -43,12 +51,10 @@ ProbeClient::ProbeClient(sim::Simulator& sim, host::Host& host, int src_pop,
       config_(std::move(config)),
       metrics_(metrics),
       rng_(rng) {
-  if (config_.interval_jitter < 0.0 || config_.interval_jitter >= 1.0) {
-    throw std::invalid_argument("ProbeClient: interval_jitter outside [0,1)");
-  }
+  const std::vector<ProbeSpec> specs = default_probe_specs();
   for (const auto& target : targets) {
     Round round;
-    for (const auto& spec : config_.specs) {
+    for (const auto& spec : specs) {
       Task task;
       task.target = target;
       task.spec = spec;
@@ -57,15 +63,6 @@ ProbeClient::ProbeClient(sim::Simulator& sim, host::Host& host, int src_pop,
     }
     rounds_.push_back(std::move(round));
   }
-}
-
-std::uint32_t ProbeClient::request_bytes_for(const ProbeSpec& spec) const {
-  const std::uint64_t bytes = spec.object_bytes / ProbeServer::kScale;
-  if (bytes == 0 || bytes > 1400) {
-    throw std::logic_error(
-        "ProbeClient: object size not encodable in a one-segment request");
-  }
-  return static_cast<std::uint32_t>(bytes);
 }
 
 void ProbeClient::start() {
@@ -84,8 +81,7 @@ void ProbeClient::start() {
 
 void ProbeClient::schedule_next(Round& round) {
   const double jitter =
-      rng_.uniform(1.0 - config_.interval_jitter,
-                   1.0 + config_.interval_jitter);
+      rng_.uniform(1.0 - kIntervalJitter, 1.0 + kIntervalJitter);
   sim_.schedule(
       sim::Time::from_seconds(config_.interval.to_seconds() * jitter),
       [this, &round] {

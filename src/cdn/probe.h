@@ -58,14 +58,9 @@ struct ProbeTarget {
 };
 
 struct ProbeClientConfig {
-  std::vector<ProbeSpec> specs = default_probe_specs();
-
-  // Mean period between probes of one (target, flavour) pair, with
-  // +-interval_jitter uniform jitter per round so the three flavours race
-  // for the shared idle connection in varying order (as in production,
-  // where whichever probe fires first reuses the idle connection).
+  // Mean period between probe rounds to one target (each round jittered by
+  // ProbeClient::kIntervalJitter).
   sim::Time interval = sim::Time::seconds(10);
-  double interval_jitter = 0.25;
 
   // Keep-alive timeout: a pooled idle connection is closed after this long
   // without a probe.
@@ -78,16 +73,23 @@ struct ProbeClientConfig {
   sim::Time extra_linger = sim::Time::seconds(20);
 };
 
-// Issues probes from one host to a set of targets, mirroring the paper's
-// diagnostic mesh (§IV-A): every round, for every (target, flavour) pair,
-// it reuses the target's idle pooled connection when one exists — the pool
-// holds at most ONE connection per target, the paper's "an existing and
-// idle connection" — and opens a fresh one otherwise. Fresh connections
-// are returned to the pool after the probe (or closed if the slot is
-// taken). Completion time (request out -> last byte in, including the
-// handshake for fresh connections) lands in the collector.
+// Sends the default_probe_specs() flavours from one host to a set of
+// targets, mirroring the paper's diagnostic mesh (§IV-A): every round, for
+// every (target, flavour) pair, it reuses the target's idle pooled
+// connection when one exists — the pool holds at most ONE connection per
+// target, the paper's "an existing and idle connection" — and opens a
+// fresh one otherwise. Fresh connections are returned to the pool after
+// the probe (or closed if the slot is taken). Completion time (request
+// out -> last byte in, including the handshake for fresh connections)
+// lands in the collector.
 class ProbeClient {
  public:
+  // Each round fires at interval * U(1 - kIntervalJitter,
+  // 1 + kIntervalJitter) after the last, so the three flavours race for
+  // the shared idle connection in varying order (as in production, where
+  // whichever probe fires first reuses the idle connection).
+  static constexpr double kIntervalJitter = 0.25;
+
   ProbeClient(sim::Simulator& sim, host::Host& host, int src_pop,
               std::vector<ProbeTarget> targets, ProbeClientConfig config,
               MetricsCollector& metrics, sim::Rng& rng);
@@ -147,7 +149,6 @@ class ProbeClient {
   tcp::TcpConnection::Callbacks callbacks_for(std::shared_ptr<ConnState> st);
   void complete(Task& task);
   void release_to_pool(std::shared_ptr<ConnState> st);
-  std::uint32_t request_bytes_for(const ProbeSpec& spec) const;
 
   sim::Simulator& sim_;
   host::Host& host_;

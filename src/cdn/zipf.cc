@@ -6,8 +6,7 @@
 
 namespace riptide::cdn {
 
-ZipfDistribution::ZipfDistribution(std::size_t n, double exponent)
-    : exponent_(exponent) {
+ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
   if (n == 0) throw std::invalid_argument("ZipfDistribution: n == 0");
   if (exponent < 0.0) {
     throw std::invalid_argument("ZipfDistribution: negative exponent");

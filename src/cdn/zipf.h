@@ -21,10 +21,8 @@ class ZipfDistribution {
   double probability(std::size_t rank) const;
 
   std::size_t size() const { return cdf_.size(); }
-  double exponent() const { return exponent_; }
 
  private:
-  double exponent_;
   std::vector<double> cdf_;  // cdf_[k-1] = P(rank <= k)
 };
 

@@ -45,7 +45,7 @@ class ViolationSink {
 // cooldown or a failed snapshot never ran budget enforcement or the
 // reconciler, so those invariants are not judged on it.
 void check_poll(core::RiptideAgent& agent, const core::PollOutcome& outcome,
-                ViolationSink& sink) {
+                std::uint32_t budget, ViolationSink& sink) {
   if (!outcome.completed) return;
   const std::string who = agent.host().name();
   const auto now_s = agent.host().simulator().now().to_seconds();
@@ -55,7 +55,6 @@ void check_poll(core::RiptideAgent& agent, const core::PollOutcome& outcome,
   // by half a segment) and the floor-at-1 of tiny budgets. Skipped while
   // actuator retries are pending: a failed scale-down legitimately
   // leaves the old (larger) window installed until the retry lands.
-  const std::uint32_t budget = agent.config().governor.budget_segments;
   if (budget > 0 && agent.pending_actuator_ops() == 0) {
     std::uint64_t total = 0;
     for (const auto& [prefix, metrics] : agent.installed_routes()) {
@@ -166,21 +165,24 @@ void check_teardown(cdn::Experiment& exp, ViolationSink& sink) {
 
 }  // namespace
 
-bool operator==(const Violation& a, const Violation& b) {
-  return a.oracle == b.oracle && a.detail == b.detail;
-}
-
 RunResult run_chaos_spec(const ChaosSpec& spec) {
   RunResult result;
   ViolationSink sink(result.violations);
   const std::size_t live_before = tcp::SegmentPool::local().live();
   {
     cdn::ExperimentConfig config = spec.to_config();
+    // The oracle judges the configured budget; the "budget" break hook
+    // runs the agents without one.
+    const std::uint32_t budget = config.riptide.governor.budget_segments;
+    if (spec.break_hook == "budget") {
+      config.riptide.governor.budget_segments = 0;
+    }
     cdn::Experiment exp(config);
     for (const auto& agent : exp.agents()) {
       agent->set_post_poll_hook(
-          [&sink](core::RiptideAgent& a, const core::PollOutcome& outcome) {
-            check_poll(a, outcome, sink);
+          [&sink, budget](core::RiptideAgent& a,
+                          const core::PollOutcome& outcome) {
+            check_poll(a, outcome, budget, sink);
           });
     }
     exp.run();

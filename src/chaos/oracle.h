@@ -14,9 +14,9 @@ namespace riptide::chaos {
 struct Violation {
   std::string oracle;
   std::string detail;
-};
 
-bool operator==(const Violation& a, const Violation& b);
+  friend bool operator==(const Violation&, const Violation&) = default;
+};
 
 // Everything a chaos run reports. The fingerprint is the CRC-32 of
 // cdn::serialize_metrics() (the determinism suite's), computed for every
@@ -50,11 +50,12 @@ inline constexpr const char* kOracleProbes = "probe-accounting";
 inline constexpr const char* kOracleLeak = "segment-leak";
 inline constexpr const char* kOracleGolden = "golden-fingerprint";
 
-// Builds the spec's experiment, arms the per-poll oracles on every agent
-// (post-poll hooks run atomically inside the poll's event callback), runs
-// it, then applies the teardown oracles (stall, probe accounting, golden
-// fingerprint) and, after the experiment is destroyed, the segment-leak
-// check. Deterministic: equal specs produce equal RunResults.
+// Builds the spec's experiment (with its break hook applied), arms the
+// per-poll oracles on every agent (post-poll hooks run atomically inside
+// the poll's event callback), runs it, then applies the teardown oracles
+// (stall, probe accounting, golden fingerprint) and, after the experiment
+// is destroyed, the segment-leak check. Deterministic: equal specs
+// produce equal RunResults.
 //
 // Violations are deduplicated per (oracle, agent) — a budget regression
 // violates every subsequent poll, and one witness per agent is what the

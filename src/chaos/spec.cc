@@ -1,13 +1,12 @@
 #include "chaos/spec.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <set>
 #include <stdexcept>
 
 #include "cdn/golden.h"
 #include "cdn/pops.h"
 #include "faults/harness.h"
+#include "sim/number.h"
 
 namespace riptide::chaos {
 
@@ -21,31 +20,21 @@ namespace {
 
 std::uint64_t parse_u64(const std::string& text, std::uint64_t min,
                         std::uint64_t max, std::size_t offset) {
-  if (text.empty()) bad_spec("empty number", text, offset);
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_spec("bad integer", text, offset);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || value < min ||
-      value > max) {
+  const auto value = sim::read_u64(text);
+  if (!value) bad_spec("bad integer", text, offset);
+  if (*value < min || *value > max) {
     bad_spec("integer out of range", text, offset);
   }
-  return value;
+  return *value;
 }
 
 double parse_double(const std::string& text, double min, double max,
                     std::size_t offset) {
-  if (text.empty()) bad_spec("empty number", text, offset);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !(value >= min) ||
-      !(value <= max)) {
+  const auto value = sim::read_double(text);
+  if (!value || *value < min || *value > max) {
     bad_spec("number out of range", text, offset);
   }
-  return value;
+  return *value;
 }
 
 // Rethrows a sub-grammar parse error anchored at the embedding spec's
@@ -59,15 +48,6 @@ double parse_double(const std::string& text, double min, double max,
 }
 
 }  // namespace
-
-bool operator==(const ChaosSpec& a, const ChaosSpec& b) {
-  return a.pops == b.pops && a.hosts == b.hosts &&
-         a.duration_s == b.duration_s && a.seed == b.seed &&
-         a.wan_loss == b.wan_loss && a.policy == b.policy &&
-         a.hostile == b.hostile && a.faults == b.faults &&
-         a.golden == b.golden && a.break_hook == b.break_hook &&
-         a.budget_override == b.budget_override;
-}
 
 ChaosSpec ChaosSpec::golden_spec() {
   ChaosSpec spec;
@@ -256,9 +236,6 @@ cdn::ExperimentConfig ChaosSpec::to_config() const {
     }
     if (budget_override > 0) {
       config.riptide.governor.budget_segments = budget_override;
-    }
-    if (break_hook == "budget") {
-      config.riptide.test_skip_budget_enforcement = true;
     }
   }
 

@@ -39,9 +39,9 @@ struct ChaosSpec {
   bool golden = false;
 
   // Intentional-regression hooks, so campaigns can prove the oracles
-  // detect what they claim to. "" = none; "budget" = run with the
-  // governor's budget enforcement silently skipped
-  // (core::RiptideConfig::test_skip_budget_enforcement).
+  // detect what they claim to. "" = none; "budget" = run_chaos_spec()
+  // judges the configured budget but builds the world with the budget
+  // switched off, as a governor whose enforcement silently regressed.
   std::string break_hook;
 
   // Override the governor budget (segments) after policy application;
@@ -65,8 +65,9 @@ struct ChaosSpec {
   std::string to_string() const;
 
   // The complete experiment configuration for this spec: world shape,
-  // policy, hostile scenario, fault harness installation, checkpointing
-  // when the plan crashes an agent, and the break hook.
+  // policy, hostile scenario, fault harness installation, and
+  // checkpointing when the plan crashes an agent (not the break hook,
+  // which run_chaos_spec() applies).
   // Agents always reconcile routes so the route-consistency oracle has its
   // subject.
   cdn::ExperimentConfig to_config() const;
@@ -74,11 +75,9 @@ struct ChaosSpec {
   // Whether any fault event crashes an agent: to_config() arms the
   // harness's periodic checkpoint exactly then.
   bool needs_persistence() const;
-};
 
-bool operator==(const ChaosSpec& a, const ChaosSpec& b);
-inline bool operator!=(const ChaosSpec& a, const ChaosSpec& b) {
-  return !(a == b);
-}
+  // Field-wise, for the codec round-trip checks and the shrinker.
+  friend bool operator==(const ChaosSpec&, const ChaosSpec&) = default;
+};
 
 }  // namespace riptide::chaos

@@ -64,7 +64,6 @@ AgentStats& operator+=(AgentStats& total, const AgentStats& add) {
   total.destinations_updated += add.destinations_updated;
   total.routes_set += add.routes_set;
   total.routes_expired += add.routes_expired;
-  total.trend_resets += add.trend_resets;
   total.polls_failed += add.polls_failed;
   total.actuator_failures += add.actuator_failures;
   total.actuator_retries += add.actuator_retries;
@@ -389,7 +388,7 @@ bool RiptideAgent::governor_gate(sim::Time now) {
   }
   if (!governor_.staged()) {
     if (!governor_.should_rollback(d_retrans, d_packets, now)) return true;
-    emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
+    emergency_rollback(now, fraction);
     return false;
   }
   const GovernorState before = governor_.state();
@@ -401,7 +400,7 @@ bool RiptideAgent::governor_gate(sim::Time now) {
       staged_selective_withdraw(before, fraction);
       return false;
     case StagedAction::kRollback:
-      emergency_rollback(now, fraction, trace::GovernorCause::kThreshold);
+      emergency_rollback(now, fraction);
       return false;
     case StagedAction::kNone:
       break;
@@ -468,31 +467,9 @@ std::vector<std::pair<net::Prefix, double>> RiptideAgent::decide(
     i = j;
     const double observed = combiner_->combine(observations);
 
-    // Trend guard (§V): a cliff-drop of the observation signals an
-    // incident — reset the learned window instead of gliding down. The
-    // fold is hoisted above the branch (it refreshes the TTL either way
-    // and does not touch the stored final value of an existing entry).
-    const DestinationState* previous = table_.find(destination);
     const double folded =
         table_.fold(destination, observed, config_.alpha, now);
-    bool trend_reset = false;
-    double final_window;
-    if (config_.trend_guard && previous != nullptr &&
-        observed < previous->final_window_segments *
-                       (1.0 - config_.trend_drop_fraction)) {
-      final_window = static_cast<double>(config_.c_min);
-      trend_reset = true;
-      ++stats_.trend_resets;
-    } else {
-      final_window = clamp_window(folded);
-    }
-    // Operator cap (§V): external signals bound how aggressive we may be.
-    bool capped = false;
-    if (window_cap_segments_ > 0 &&
-        final_window > static_cast<double>(window_cap_segments_)) {
-      final_window = static_cast<double>(window_cap_segments_);
-      capped = true;
-    }
+    const double final_window = clamp_window(folded);
     table_.store_final(destination, final_window, now);
     decisions.emplace_back(destination, final_window);
     ++stats_.destinations_updated;
@@ -503,8 +480,6 @@ std::vector<std::pair<net::Prefix, double>> RiptideAgent::decide(
       ev.decision = {host_.address().value(),
                      destination.address().value(),
                      static_cast<std::uint8_t>(destination.length()),
-                     static_cast<std::uint8_t>(trend_reset),
-                     static_cast<std::uint8_t>(capped),
                      static_cast<std::uint32_t>(observations.size()),
                      observed,
                      folded,
@@ -520,9 +495,6 @@ void RiptideAgent::budget() {
   // table keeps the unscaled learned values — the budget caps what is
   // *installed*, not what is known.
   budget_scale_ = 1.0;
-  // Chaos-search fault hook: the budget stays configured but is not
-  // enforced, so the budget oracle can prove it catches the regression.
-  if (config_.test_skip_budget_enforcement) return;
   if (config_.governor.budget_segments == 0) return;
   double total = 0.0;
   for (const auto& [destination, state] : table_.entries()) {
@@ -658,10 +630,6 @@ void RiptideAgent::expire(sim::Time now) {
 // ------------------------------------------------------------------------
 // Governor actions and reconciliation.
 
-void RiptideAgent::manual_rollback() {
-  emergency_rollback(sim_.now(), 0.0, trace::GovernorCause::kManual);
-}
-
 void RiptideAgent::staged_scale_down(GovernorState from,
                                      double retrans_fraction) {
   // Stage 1: keep every route but halve what it may burst. The learned
@@ -733,8 +701,8 @@ void RiptideAgent::staged_selective_withdraw(GovernorState from,
                        static_cast<std::uint32_t>(count));
 }
 
-void RiptideAgent::emergency_rollback(sim::Time now, double retrans_fraction,
-                                      trace::GovernorCause cause) {
+void RiptideAgent::emergency_rollback(sim::Time now,
+                                      double retrans_fraction) {
   // Withdraw everything this process knows about or may yet act on:
   // learned entries, routes believed installed (the sets differ after
   // adoption, expiry races, or partial failures), and destinations with
@@ -771,8 +739,8 @@ void RiptideAgent::emergency_rollback(sim::Time now, double retrans_fraction,
   seen_counters_.clear();
   const GovernorState from = governor_.state();
   governor_.arm_cooldown(now);
-  trace_governor_state(from, GovernorState::kCooldown, cause,
-                       retrans_fraction,
+  trace_governor_state(from, GovernorState::kCooldown,
+                       trace::GovernorCause::kThreshold, retrans_fraction,
                        static_cast<std::uint32_t>(targets.size()));
 }
 

@@ -25,7 +25,6 @@ struct AgentStats {
   std::uint64_t destinations_updated = 0;
   std::uint64_t routes_set = 0;
   std::uint64_t routes_expired = 0;
-  std::uint64_t trend_resets = 0;  // trend-guard triggered (§V)
 
   // -- degradation paths (agent hardening) --
   std::uint64_t polls_failed = 0;         // snapshot unavailable, skipped
@@ -150,20 +149,6 @@ class RiptideAgent {
     post_poll_hook_ = std::move(hook);
   }
 
-  // §V: operator hook for higher-level signals. A nonzero cap bounds every
-  // programmed window below `cap_segments` (e.g. a load balancer about to
-  // shift traffic onto this node's paths asks for conservative windows to
-  // "avoid sudden crowding"). Takes effect from the next poll; 0 clears.
-  void set_window_cap(std::uint32_t cap_segments) {
-    window_cap_segments_ = cap_segments;
-  }
-
-  // Operator hook: withdraw every learned route and enter cooldown right
-  // now, regardless of health signals (e.g. a pre-announced maintenance
-  // window where boosted bursts must not land). Traced with cause
-  // "manual" so the audit trail distinguishes it from the brake firing.
-  void manual_rollback();
-
   // Read-only view of the safety governor's state machine for tests and
   // monitoring.
   const SafetyGovernor& governor() const { return governor_; }
@@ -245,8 +230,8 @@ class RiptideAgent {
   bool take_snapshot(std::vector<host::SocketInfo>& snapshot);
   // Groups established connections by destination into poll_scratch_.
   void observe(const std::vector<host::SocketInfo>& snapshot);
-  // Combine, fold, guard and clamp each destination: its final window,
-  // in ascending destination order.
+  // Combine, fold and clamp each destination: its final window, in
+  // ascending destination order.
   std::vector<std::pair<net::Prefix, double>> decide(sim::Time now);
   // The budget's answer for this poll into budget_scale_.
   void budget();
@@ -279,8 +264,7 @@ class RiptideAgent {
   std::uint32_t budget_cap(double final_window) const;
   void adopt_existing_routes();
   // Governor actions.
-  void emergency_rollback(sim::Time now, double retrans_fraction,
-                          trace::GovernorCause cause);
+  void emergency_rollback(sim::Time now, double retrans_fraction);
   void staged_scale_down(GovernorState from, double retrans_fraction);
   void staged_selective_withdraw(GovernorState from, double retrans_fraction);
   // Staleness guard: per-destination retransmit deltas since last poll.
@@ -312,7 +296,6 @@ class RiptideAgent {
   PostPollHook post_poll_hook_;
   bool running_ = false;
   bool started_once_ = false;
-  std::uint32_t window_cap_segments_ = 0;
   std::map<net::Prefix, PendingOp> pending_ops_;
   std::unordered_map<tcp::FourTuple, SeenCounters, tcp::FourTupleHash>
       seen_counters_;

@@ -62,15 +62,6 @@ struct RiptideConfig {
   // agent's routes carry no CC opinion unless a policy asks for one.
   tcp::RouteCc route_cc = tcp::RouteCc::kUnset;
 
-  // §V "Additional Algorithms": trend guard. A sharp fall of the combined
-  // observation relative to the stored value — more than
-  // `trend_drop_fraction` in one poll — signals a network incident; rather
-  // than letting the EWMA glide down over many intervals, the learned
-  // window is reset to c_min immediately ("aggressively decrease the
-  // initial windows, beyond what is happening to existing connections").
-  bool trend_guard = false;
-  double trend_drop_fraction = 0.5;
-
   // ------------------------------------------------------------------
   // Hardening (robustness under network and actuator failures). A
   // fault-free run behaves bit-identically to an agent without any of
@@ -112,12 +103,6 @@ struct RiptideConfig {
   // staged ladder). See GovernorConfig for each knob; every default is
   // off.
   GovernorConfig governor{};
-
-  // Test-only fault hook: silently skip the governor's budget enforcement
-  // while leaving the budget configured. Exists so the chaos-search suite
-  // (src/chaos) can prove its budget oracle actually detects a governor
-  // whose enforcement regressed; never set outside tests.
-  bool test_skip_budget_enforcement = false;
 };
 
 }  // namespace riptide::core

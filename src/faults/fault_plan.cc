@@ -123,14 +123,6 @@ FaultPlan& FaultPlan::route_drift(sim::Time at, int host_index,
   return add(ev);
 }
 
-bool operator==(const FaultEvent& a, const FaultEvent& b) {
-  return a.at == b.at && a.kind == b.kind && a.pop_a == b.pop_a &&
-         a.pop_b == b.pop_b && a.value == b.value && a.value2 == b.value2 &&
-         a.duration == b.duration && a.count == b.count &&
-         a.host_index == b.host_index && a.warm == b.warm &&
-         a.flush_routes == b.flush_routes;
-}
-
 namespace {
 
 // A token plus its byte offset in the full spec string, so every parse

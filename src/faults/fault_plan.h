@@ -51,10 +51,10 @@ struct FaultEvent {
   int host_index = -1;
   bool warm = false;
   bool flush_routes = false;
-};
 
-// Field-wise equality, for spec round-trip checks and the chaos shrinker.
-bool operator==(const FaultEvent& a, const FaultEvent& b);
+  // Field-wise, for spec round-trip checks and the chaos shrinker.
+  friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
+};
 
 // A declarative, composable list of fault events. Build in code via the
 // fluent adders, or parse from a compact spec string:
@@ -119,9 +119,7 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 
-  friend bool operator==(const FaultPlan& a, const FaultPlan& b) {
-    return a.events_ == b.events_;
-  }
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
  private:
   std::vector<FaultEvent> events_;

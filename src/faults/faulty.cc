@@ -26,28 +26,11 @@ void FaultyRouteProgrammer::set_initial_windows(const net::Prefix& dst,
                                                std::uint32_t initrwnd_segments,
                                                tcp::RouteCc cc) {
   maybe_fail("set_initial_windows");
-  if (delay_ > sim::Time::zero()) {
-    ++stats_.ops_delayed;
-    // The call "succeeds" (the exec returned 0) but the table write lands
-    // late; the raw pointer is safe because the agent owns this decorator
-    // and the simulator outlives the agents.
-    sim_.schedule(delay_,
-                  [this, dst, initcwnd_segments, initrwnd_segments, cc] {
-                    inner_->set_initial_windows(dst, initcwnd_segments,
-                                                initrwnd_segments, cc);
-                  });
-    return;
-  }
   inner_->set_initial_windows(dst, initcwnd_segments, initrwnd_segments, cc);
 }
 
 void FaultyRouteProgrammer::clear(const net::Prefix& dst) {
   maybe_fail("clear");
-  if (delay_ > sim::Time::zero()) {
-    ++stats_.ops_delayed;
-    sim_.schedule(delay_, [this, dst] { inner_->clear(dst); });
-    return;
-  }
   inner_->clear(dst);
 }
 

@@ -8,7 +8,6 @@
 #include "core/route_programmer.h"
 #include "core/socket_stats_source.h"
 #include "sim/random.h"
-#include "sim/simulator.h"
 
 namespace riptide::faults {
 
@@ -22,21 +21,18 @@ class ActuatorError : public std::runtime_error {
 struct FaultyActuatorStats {
   std::uint64_t ops_attempted = 0;
   std::uint64_t failures_injected = 0;
-  std::uint64_t ops_delayed = 0;
 };
 
 // Decorator over the agent's actuator: fails calls with a configurable
-// probability (or deterministically via fail_next), and/or applies them
-// after a delay — the transient `ip route` failures and slow execs the
-// agent's retry/backoff path must absorb. Each decorator owns a forked
-// Rng so failure sequences are deterministic per agent and independent of
-// the traffic workload.
+// probability (or deterministically via fail_next) — the transient
+// `ip route` failures the agent's retry/backoff path must absorb. Each
+// decorator owns a forked Rng so failure sequences are deterministic per
+// agent and independent of the traffic workload.
 class FaultyRouteProgrammer : public core::RouteProgrammer {
  public:
-  FaultyRouteProgrammer(sim::Simulator& sim,
-                        std::unique_ptr<core::RouteProgrammer> inner,
+  FaultyRouteProgrammer(std::unique_ptr<core::RouteProgrammer> inner,
                         sim::Rng rng)
-      : sim_(sim), inner_(std::move(inner)), rng_(std::move(rng)) {}
+      : inner_(std::move(inner)), rng_(std::move(rng)) {}
 
   // Probability that any program/clear call throws ActuatorError.
   void set_failure_probability(double p) { failure_probability_ = p; }
@@ -45,28 +41,21 @@ class FaultyRouteProgrammer : public core::RouteProgrammer {
   // Fails exactly the next `n` calls (before the probability is rolled).
   void fail_next(int n) { forced_failures_ = n; }
 
-  // When nonzero, successful ops take effect only after `delay` (the slow
-  // actuator case). Zero restores immediate application.
-  void set_delay(sim::Time delay) { delay_ = delay; }
-
   void set_initial_windows(const net::Prefix& dst,
                            std::uint32_t initcwnd_segments,
                            std::uint32_t initrwnd_segments,
                            tcp::RouteCc cc = tcp::RouteCc::kUnset) override;
   void clear(const net::Prefix& dst) override;
 
-  core::RouteProgrammer& inner() { return *inner_; }
   const FaultyActuatorStats& stats() const { return stats_; }
 
  private:
   void maybe_fail(const char* op);
 
-  sim::Simulator& sim_;
   std::unique_ptr<core::RouteProgrammer> inner_;
   sim::Rng rng_;
   double failure_probability_ = 0.0;
   int forced_failures_ = 0;
-  sim::Time delay_;
   FaultyActuatorStats stats_;
 };
 

@@ -32,7 +32,7 @@ struct FaultHarness::Factory {
 void FaultHarness::install(cdn::ExperimentConfig& config, FaultPlan plan) {
   config.route_programmer_factory = [](cdn::Experiment& e, host::Host& h) {
     return std::make_unique<FaultyRouteProgrammer>(
-        e.simulator(), std::make_unique<core::HostRouteProgrammer>(h),
+        std::make_unique<core::HostRouteProgrammer>(h),
         decorator_rng(e, h, kActuatorSalt));
   };
   config.socket_stats_factory = [](cdn::Experiment& e, host::Host& h) {
@@ -99,7 +99,6 @@ FaultyActuatorStats FaultHarness::actuator_totals() const {
     const FaultyActuatorStats& s = hooks.actuator->stats();
     total.ops_attempted += s.ops_attempted;
     total.failures_injected += s.failures_injected;
-    total.ops_delayed += s.ops_delayed;
   }
   return total;
 }
@@ -111,18 +110,6 @@ CheckpointStats FaultHarness::checkpoint_totals() const {
     total.checkpoints_written += s.checkpoints_written;
     total.restores += s.restores;
     total.records_recovered += s.records_recovered;
-  }
-  return total;
-}
-
-FaultyPollStats FaultHarness::poll_totals() const {
-  FaultyPollStats total;
-  for (const auto& hooks : injector_->hooks()) {
-    if (hooks.stats_source == nullptr) continue;
-    const FaultyPollStats& s = hooks.stats_source->stats();
-    total.polls_attempted += s.polls_attempted;
-    total.failures_injected += s.failures_injected;
-    total.entries_dropped += s.entries_dropped;
   }
   return total;
 }

@@ -48,7 +48,6 @@ class FaultHarness {
 
   // Decorator counters aggregated across every agent.
   FaultyActuatorStats actuator_totals() const;
-  FaultyPollStats poll_totals() const;
   // Checkpoint counters aggregated across every agent (all zero when
   // config.riptide.checkpoint_interval was 0 and none were kept).
   CheckpointStats checkpoint_totals() const;

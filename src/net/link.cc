@@ -15,7 +15,11 @@ Link::Link(sim::Simulator& sim, Config config, PacketSink& sink, sim::Rng* rng)
   if (config_.rate_bps <= 0.0) {
     throw std::invalid_argument("Link: rate must be positive");
   }
-  if (config_.loss_probability > 0.0 && rng_ == nullptr) {
+  const double loss = config_.loss_probability;
+  if (!(loss >= 0.0 && loss <= 1.0)) {
+    throw std::invalid_argument("Link: loss probability outside [0,1]");
+  }
+  if (loss > 0.0 && rng_ == nullptr) {
     throw std::invalid_argument("Link: loss requires an Rng");
   }
 }

@@ -53,7 +53,8 @@ class Link : public PacketSink {
     std::string name = "link";
   };
 
-  // `rng` may be null when loss_probability == 0.
+  // Throws std::invalid_argument unless rate > 0 and loss_probability is
+  // in [0, 1]; `rng` may be null when loss_probability == 0.
   Link(sim::Simulator& sim_, Config config, PacketSink& sink,
        sim::Rng* rng = nullptr);
 
@@ -93,8 +94,6 @@ class Link : public PacketSink {
   // Both default to zero, in which case every code path is bit-identical
   // to a build without the feature.
   void set_background_load(double offered_bps, std::size_t queue_packets);
-  double background_bps() const { return background_bps_; }
-  std::size_t background_queue_packets() const { return background_queue_; }
 
  private:
   // Drops completion stamps that are in the past; the remainder is the

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <stdexcept>
 
 #include "core/route_programmer.h"
+#include "sim/number.h"
 
 namespace riptide::policy {
 
@@ -46,12 +46,6 @@ std::string to_string(const PolicySpec& spec) {
   return out;
 }
 
-bool operator==(const PolicySpec& a, const PolicySpec& b) {
-  return a.kind == b.kind && a.static_iw == b.static_iw &&
-         a.prefix_length == b.prefix_length && a.governed == b.governed &&
-         a.cc == b.cc;
-}
-
 namespace {
 
 [[noreturn]] void bad_policy(const std::string& why, const std::string& token,
@@ -62,18 +56,12 @@ namespace {
 
 std::uint64_t parse_number(const std::string& text, std::uint64_t min,
                            std::uint64_t max, std::size_t offset) {
-  if (text.empty()) bad_policy("empty number", text, offset);
-  for (char c : text) {
-    if (c < '0' || c > '9') bad_policy("bad number", text, offset);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size() || value < min ||
-      value > max) {
+  const auto value = sim::read_u64(text);
+  if (!value) bad_policy("bad number", text, offset);
+  if (*value < min || *value > max) {
     bad_policy("number out of range", text, offset);
   }
-  return value;
+  return *value;
 }
 
 }  // namespace

@@ -88,7 +88,6 @@ const char* to_string(RouteCause cause);
 // Why the governor's state machine moved (governor-state events).
 enum class GovernorCause : std::uint8_t {
   kThreshold,  // host-wide retransmit fraction crossed the brake
-  kManual,     // operator/test asked for it directly
   kRecovered,  // healthy window de-escalated / cooldown elapsed
 };
 const char* to_string(GovernorCause cause);
@@ -130,12 +129,10 @@ struct AgentDecisionEvent {
   std::uint32_t host;        // agent's host address
   std::uint32_t route_addr;  // destination prefix
   std::uint8_t route_len;
-  std::uint8_t trend_reset;  // trend guard fired (final forced to c_min)
-  std::uint8_t capped;       // operator window cap bound the result
   std::uint32_t samples;     // established connections combined
   double combined;           // combiner output (raw cwnd summary)
   double folded;             // after the EWMA fold
-  double final_window;       // after clamp [c_min, c_max] and cap — stored
+  double final_window;       // after clamp [c_min, c_max] — stored
 };
 
 struct AgentProgramEvent {

@@ -68,7 +68,6 @@ const char* to_string(RouteCause cause) {
 const char* to_string(GovernorCause cause) {
   switch (cause) {
     case GovernorCause::kThreshold: return "threshold";
-    case GovernorCause::kManual: return "manual";
     case GovernorCause::kRecovered: return "recovered";
   }
   return "?";
@@ -162,13 +161,11 @@ std::string to_json(const TraceEvent& e) {
     case EventKind::kAgentDecision:
       append(out,
              ",\"host\":\"%s\",\"route\":\"%s\",\"samples\":%u,"
-             "\"combined\":%.17g,\"folded\":%.17g,\"final\":%.17g,"
-             "\"trend_reset\":%u,\"capped\":%u",
+             "\"combined\":%.17g,\"folded\":%.17g,\"final\":%.17g",
              format_host(e.decision.host).c_str(),
              format_route(e.decision.route_addr, e.decision.route_len).c_str(),
              e.decision.samples, e.decision.combined, e.decision.folded,
-             e.decision.final_window, e.decision.trend_reset,
-             e.decision.capped);
+             e.decision.final_window);
       break;
     case EventKind::kAgentProgram:
       append(out,

@@ -113,7 +113,7 @@ TEST(GoldenDeterminismTest, ParallelRunnerThreadCountInvariant) {
 
 // Every AgentStats field goes into the pin: a new counter must be added
 // to serialize_agent_stats() below (and the pins recaptured).
-static_assert(sizeof(core::AgentStats) == 27 * sizeof(std::uint64_t));
+static_assert(sizeof(core::AgentStats) == 26 * sizeof(std::uint64_t));
 
 void serialize_agent_stats(const core::AgentStats& s, std::string& out) {
   const std::uint64_t fields[] = {
@@ -122,7 +122,6 @@ void serialize_agent_stats(const core::AgentStats& s, std::string& out) {
       s.destinations_updated,
       s.routes_set,
       s.routes_expired,
-      s.trend_resets,
       s.polls_failed,
       s.actuator_failures,
       s.actuator_retries,
@@ -197,7 +196,7 @@ TEST(AgentPinTest, GovernorLadderReconcileAndHysteresis) {
         c.riptide.governor.rollback_retrans_fraction = 0.02;
         c.riptide.governor.min_packets = 50;
       });
-  EXPECT_EQ(crc, 0x63BF2D33u) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0xAA189F49u) << std::hex << "0x" << crc;
 }
 
 TEST(AgentPinTest, TightBudgetUnderFlashCrowd) {
@@ -210,7 +209,7 @@ TEST(AgentPinTest, TightBudgetUnderFlashCrowd) {
       "hostile=flash-crowd:at=10,conns=8,bytes=100000,period=10\n"
       "faults=@5 loss 0-1 0.05 10\nbudget=20\n",
       [](ExperimentConfig&) {});
-  EXPECT_EQ(crc, 0xB22F2261u) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0x8CB09445u) << std::hex << "0x" << crc;
 }
 
 TEST(AgentPinTest, ProportionalBudgetAndLegacyRollback) {
@@ -226,7 +225,7 @@ TEST(AgentPinTest, ProportionalBudgetAndLegacyRollback) {
         c.riptide.governor.min_packets = 50;
         c.riptide.governor.cooldown = Time::seconds(5);
       });
-  EXPECT_EQ(crc, 0x375BCC65u) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0x56708098u) << std::hex << "0x" << crc;
 }
 
 TEST(AgentPinTest, ActuatorRetryPollFailureAndCrashRestore) {
@@ -238,7 +237,7 @@ TEST(AgentPinTest, ActuatorRetryPollFailureAndCrashRestore) {
       "faults=@5 actuator-fail 0.5 30; @8 poll-fail 0.3 10; "
       "@20 crash -1 5 warm; @40 crash 0 5 reboot-cold\n",
       [](ExperimentConfig&) {});
-  EXPECT_EQ(crc, 0x9E91A055u) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0x448F8916u) << std::hex << "0x" << crc;
 }
 
 TEST(AgentPinTest, StalenessGuardAndTtlExpiry) {
@@ -255,7 +254,7 @@ TEST(AgentPinTest, StalenessGuardAndTtlExpiry) {
         c.probe.idle_close = Time::seconds(2);
         c.probe.extra_linger = Time::seconds(2);
       });
-  EXPECT_EQ(crc, 0x40E776AAu) << std::hex << "0x" << crc;
+  EXPECT_EQ(crc, 0xAF28C246u) << std::hex << "0x" << crc;
 }
 
 }  // namespace

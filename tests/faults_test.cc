@@ -205,8 +205,7 @@ TEST(LinkFaultTest, MutatorsValidate) {
 TEST(FaultyProgrammerTest, FailNextThrowsThenRecovers) {
   TwoHostNet net(Time::milliseconds(10));
   faults::FaultyRouteProgrammer programmer(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
+      std::make_unique<core::HostRouteProgrammer>(net.a), sim::Rng(1));
   const auto dst = net::Prefix::host(net.b.address());
 
   programmer.fail_next(1);
@@ -218,21 +217,6 @@ TEST(FaultyProgrammerTest, FailNextThrowsThenRecovers) {
   EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
             50u);
   EXPECT_EQ(programmer.stats().ops_attempted, 2u);
-}
-
-TEST(FaultyProgrammerTest, DelayDefersApplication) {
-  TwoHostNet net(Time::milliseconds(10));
-  faults::FaultyRouteProgrammer programmer(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
-  programmer.set_delay(Time::milliseconds(500));
-  programmer.set_initial_windows(net::Prefix::host(net.b.address()), 42, 0);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);  // not yet
-  net.sim.run_until(net.sim.now() + Time::seconds(1));
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            42u);
-  EXPECT_EQ(programmer.stats().ops_delayed, 1u);
 }
 
 TEST(FaultyStatsSourceTest, FailureAndPartialSnapshots) {
@@ -258,8 +242,7 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
+      std::make_unique<core::HostRouteProgrammer>(net.a), sim::Rng(1));
   auto* programmer = faulty.get();
   core::RiptideAgent agent(net.sim, net.a, config, std::move(faulty));
   push_data(net, 500'000);
@@ -288,8 +271,7 @@ TEST(AgentRetryTest, RetriesWithBackoffUntilSuccess) {
 TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
   TwoHostNet net(Time::milliseconds(20));
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
+      std::make_unique<core::HostRouteProgrammer>(net.a), sim::Rng(1));
   auto* programmer = faulty.get();
   core::RiptideAgent agent(net.sim, net.a, agent_config(), std::move(faulty));
   push_data(net, 500'000);
@@ -309,8 +291,7 @@ TEST(AgentRetryTest, DeadLettersAfterMaxRetries) {
 TEST(AgentRetryTest, FreshDecisionSupersedesPendingRetry) {
   TwoHostNet net(Time::milliseconds(20));
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
+      std::make_unique<core::HostRouteProgrammer>(net.a), sim::Rng(1));
   auto* programmer = faulty.get();
   core::RiptideAgent agent(net.sim, net.a, agent_config(), std::move(faulty));
   push_data(net, 500'000);
@@ -548,8 +529,7 @@ TEST(AgentCrashTest, CrashDropsPendingRetries) {
   TwoHostNet net(Time::milliseconds(20));
   auto config = agent_config();
   auto faulty = std::make_unique<faults::FaultyRouteProgrammer>(
-      net.sim, std::make_unique<core::HostRouteProgrammer>(net.a),
-      sim::Rng(1));
+      std::make_unique<core::HostRouteProgrammer>(net.a), sim::Rng(1));
   auto* programmer = faulty.get();
   core::RiptideAgent agent(net.sim, net.a, config, std::move(faulty));
   push_data(net, 500'000);

@@ -508,23 +508,6 @@ TEST(AgentStagedTest, SelectiveWithdrawShedsTheNewestRouteFirst) {
   EXPECT_NE(agent.learned(veteran), nullptr);
 }
 
-TEST(AgentStagedTest, ManualRollbackWithdrawsEverythingAndCoolsDown) {
-  TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, staged_agent_config());
-  TrafficRig rig(net);
-  rig.push(500'000);
-  agent.poll_once();
-  ASSERT_GT(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);
-
-  agent.manual_rollback();
-  EXPECT_EQ(agent.stats().governor_rollbacks, 1u);
-  EXPECT_EQ(agent.governor().state(), core::GovernorState::kCooldown);
-  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
-            10u);
-  EXPECT_EQ(agent.table().size(), 0u);
-}
-
 // -------------------------------------------------------- budget fairness
 
 TEST(AgentBudgetFairnessTest, ProportionalFairnessStillDilutesEveryone) {
@@ -599,28 +582,58 @@ TEST(GovernorTraceTest, StagedEdgesCarryCauseTags) {
   EXPECT_TRUE(saw_recovery);
 }
 
-TEST(GovernorTraceTest, ManualRollbackAndBudgetShedTagTheirCauses) {
+TEST(GovernorTraceTest, LadderRollbackIsTracedAsThreshold) {
   trace::TraceSink sink;
   trace::ScopedSink scoped(&sink);
 
+  // Two installed routes, so the stage-2 withdrawal leaves the veteran for
+  // the stage-3 rollback to take back to the default window.
   TwoHostNet net(Time::milliseconds(20));
-  core::RiptideAgent agent(net.sim, net.a, agent_config());
+  core::RiptideAgent agent(net.sim, net.a, staged_agent_config());
+  TrafficRig rig(net);
   core::ObservedTable snapshot;
   snapshot.put(net::Prefix::host(net.b.address()),
-               core::DestinationState{30.0, Time::zero(), 5});
+               core::DestinationState{60.0, Time::zero(), 40});
+  snapshot.put(net::Prefix::host(net::Ipv4Address(10, 0, 0, 99)),
+               core::DestinationState{30.0, Time::zero(), 1});
   agent.restore_table(std::move(snapshot), /*reinstall_routes=*/true);
-  agent.manual_rollback();  // cause: manual, -> kCooldown
 
-  bool saw_manual = false;
+  drop_periodically(net, 5);
+  for (int stage = 1; stage <= 2; ++stage) {
+    rig.push(300'000);
+    agent.poll_once();
+  }
+  ASSERT_EQ(agent.governor().state(),
+            core::GovernorState::kSelectiveWithdraw);
+  ASSERT_GT(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
+            10u);
+  ASSERT_EQ(agent.table().size(), 1u);
+
+  // Stage 3: the rollback forgets everything learned and returns the
+  // veteran to the default window.
+  rig.push(300'000);
+  agent.poll_once();
+  ASSERT_EQ(agent.governor().state(), core::GovernorState::kCooldown);
+  EXPECT_EQ(agent.stats().governor_rollbacks, 1u);
+  EXPECT_EQ(agent.table().size(), 0u);
+  EXPECT_EQ(net.a.routing_table().effective_initcwnd(net.b.address(), 10),
+            10u);
+
+  bool saw_rollback = false;
   for (const auto& ev : sink.events()) {
-    if (ev.kind != trace::EventKind::kGovernorState) continue;
-    EXPECT_EQ(ev.governor.cause, trace::GovernorCause::kManual);
-    saw_manual = true;
-    EXPECT_EQ(ev.governor.to,
-              static_cast<std::uint8_t>(core::GovernorState::kCooldown));
+    if (ev.kind != trace::EventKind::kGovernorState ||
+        ev.governor.to !=
+            static_cast<std::uint8_t>(core::GovernorState::kCooldown)) {
+      continue;
+    }
+    saw_rollback = true;
+    EXPECT_EQ(ev.governor.cause, trace::GovernorCause::kThreshold);
+    EXPECT_EQ(ev.governor.from, static_cast<std::uint8_t>(
+                                    core::GovernorState::kSelectiveWithdraw));
+    EXPECT_GT(ev.governor.retrans_fraction, 0.02);
     EXPECT_EQ(ev.governor.routes, 1u);
   }
-  EXPECT_TRUE(saw_manual);
+  EXPECT_TRUE(saw_rollback);
 }
 
 // ----------------------------------------------- emergency rollback (e2e)

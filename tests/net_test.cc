@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -185,6 +186,18 @@ TEST(LinkTest, LossRequiresRng) {
   EXPECT_THROW(
       Link(sim, {1e6, sim::Time::zero(), 16, 0.5, "l"}, sink, nullptr),
       std::invalid_argument);
+}
+
+TEST(LinkTest, RejectsLossOutsideUnitInterval) {
+  sim::Simulator sim;
+  CollectingSink sink;
+  sim::Rng rng(1);
+  for (const double loss : {-0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(
+        Link(sim, {1e6, sim::Time::zero(), 16, loss, "l"}, sink, &rng),
+        std::invalid_argument)
+        << loss;
+  }
 }
 
 TEST(LinkTest, RejectsNonPositiveRate) {

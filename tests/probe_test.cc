@@ -158,29 +158,6 @@ TEST(ProbeClientTest, FailedProbesCountedOnReset) {
   EXPECT_GT(world.client.probes_failed(), 0u);
 }
 
-TEST(ProbeClientTest, RejectsBadJitter) {
-  TwoHostNet net(Time::milliseconds(10));
-  MetricsCollector metrics;
-  auto config = fast_config();
-  config.interval_jitter = 1.5;
-  EXPECT_THROW(ProbeClient(net.sim, net.a, 0, {target_for(net)}, config,
-                           metrics, net.rng),
-               std::invalid_argument);
-}
-
-TEST(ProbeClientTest, UnencodableObjectSizeThrows) {
-  TwoHostNet net(Time::milliseconds(10));
-  MetricsCollector metrics;
-  auto config = fast_config();
-  config.specs = {ProbeSpec{500}};  // 500 / 1000 = 0 request bytes
-  ProbeServer server(net.b);
-  server.start();
-  ProbeClient client(net.sim, net.a, 0, {target_for(net)}, config, metrics,
-                     net.rng);
-  client.start();
-  EXPECT_THROW(net.sim.run_until(Time::seconds(5)), std::logic_error);
-}
-
 // ------------------------------------------------------------ SinkServer
 
 TEST(SinkServerTest, ConsumesBytes) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/number.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -429,6 +430,32 @@ TEST(RngTest, LognormalIsPositive) {
   Rng rng(23);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GT(rng.lognormal(0.0, 1.0), 0.0);
+  }
+}
+
+// ----------------------------------------------------------------- number
+
+TEST(NumberTest, ReadersTakeOnlyWholeTokens) {
+  EXPECT_EQ(read_u64("42"), 42u);
+  EXPECT_EQ(read_u64("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"", "x", "1x", " 1", "+1", "-1", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(read_u64(bad)) << "'" << bad << "'";
+  }
+  // The spec grammars hand over tokens that may hold a NUL.
+  EXPECT_FALSE(read_u64(std::string("1\0" "2", 3)));
+  EXPECT_FALSE(read_double(std::string("1\0", 2)));
+
+  EXPECT_EQ(read_double("0.25"), 0.25);
+  EXPECT_EQ(read_double("-5"), -5.0);
+  for (const char* bad : {"", "x", "1s", " 1", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(read_double(bad)) << "'" << bad << "'";
+  }
+
+  EXPECT_EQ(read_u64_list("7"), std::vector<std::uint64_t>{7});
+  EXPECT_EQ(read_u64_list("1,2,3"), (std::vector<std::uint64_t>{1, 2, 3}));
+  for (const char* bad : {"", "x", "1,x", "1x", "1,,2", "1,", ",1"}) {
+    EXPECT_FALSE(read_u64_list(bad)) << "'" << bad << "'";
   }
 }
 

@@ -41,11 +41,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <stdexcept>
 
 #include "cdn/experiment.h"
 #include "cdn/hostile.h"
@@ -57,6 +56,8 @@
 #include "runner/parallel_runner.h"
 #include "runner/sweep.h"
 #include "runner/task_pool.h"
+#include "sim/number.h"
+#include "trace/event.h"
 
 using namespace riptide;
 
@@ -154,41 +155,88 @@ Misc:
   std::exit(2);
 }
 
+// Simulated times a flag may set, in seconds: the fault-plan grammar's
+// bound, and at least the simulator's one-nanosecond tick.
+constexpr double kMaxSeconds = 1e6;
+// The trace ring is allocated, every slot written, when the run starts:
+// cap it at 4 GiB resident (2^26 events of 64 bytes each). A 34-PoP,
+// 240 s run emits 5.5 M events with one host per PoP and 11.1 M with two.
+constexpr std::uint64_t kMaxTraceRing =
+    (std::uint64_t{4} << 30) / sizeof(trace::TraceEvent);
+
+[[noreturn]] void bad_value(const std::string& flag, const char* text,
+                            const std::string& want) {
+  std::fprintf(stderr, "%s: want %s, got '%s'\n", flag.c_str(), want.c_str(),
+               text);
+  std::exit(2);
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage();
     return argv[++i];
   };
+  // Numeric values: the whole token must be one number, in range where the
+  // library has no check of its own, or the run stops here (exit 2) naming
+  // the flag and what it wants. Values the library checks while building
+  // the world (--hosts, --alpha, --cmin/--cmax, --organic, --wan-loss,
+  // --flow-traffic) are range-checked there.
+  std::string arg;
+  const auto count = [&](int& i, std::uint64_t min, std::uint64_t max) {
+    const char* text = need_value(i);
+    const auto value = sim::read_u64(text);
+    if (!value || *value < min || *value > max) {
+      bad_value(arg, text,
+                "a whole number in [" + std::to_string(min) + ", " +
+                    std::to_string(max) + "]");
+    }
+    return *value;
+  };
+  const auto number = [&](int& i) {
+    const char* text = need_value(i);
+    const auto value = sim::read_double(text);
+    if (!value) bad_value(arg, text, "a finite number");
+    return *value;
+  };
+  const auto seconds = [&](int& i) {
+    const char* text = need_value(i);
+    const auto value = sim::read_double(text);
+    if (!value || *value <= 0.0 || *value > kMaxSeconds ||
+        sim::Time::from_seconds(*value) <= sim::Time::zero()) {
+      bad_value(arg, text, "seconds in (0, 1e6], at least 1 ns");
+    }
+    return *value;
+  };
+  constexpr std::uint64_t kInt = std::numeric_limits<int>::max();
+  constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
+  const std::size_t max_pops = cdn::default_pop_specs().size();
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::fputs(kHelpText, stdout);
       std::exit(0);
     } else if (arg == "--pops") {
-      opt.pops = static_cast<std::size_t>(std::atoi(need_value(i)));
+      opt.pops = count(i, 2, max_pops);
     } else if (arg == "--hosts") {
-      opt.hosts = std::atoi(need_value(i));
+      opt.hosts = static_cast<int>(count(i, 0, kInt));
     } else if (arg == "--duration") {
-      opt.duration_s = std::atof(need_value(i));
+      opt.duration_s = seconds(i);
     } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.seed = count(i, 0, kU64);
     } else if (arg == "--riptide") {
-      opt.riptide = std::atoi(need_value(i)) != 0;
+      opt.riptide = count(i, 0, 1) != 0;
     } else if (arg == "--cmax") {
-      opt.config.riptide.c_max =
-          static_cast<std::uint32_t>(std::atoi(need_value(i)));
+      opt.config.riptide.c_max = static_cast<std::uint32_t>(count(i, 0, kU32));
     } else if (arg == "--cmin") {
-      opt.config.riptide.c_min =
-          static_cast<std::uint32_t>(std::atoi(need_value(i)));
+      opt.config.riptide.c_min = static_cast<std::uint32_t>(count(i, 0, kU32));
     } else if (arg == "--alpha") {
-      opt.config.riptide.alpha = std::atof(need_value(i));
+      opt.config.riptide.alpha = number(i);
     } else if (arg == "--interval") {
-      opt.config.riptide.update_interval =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.riptide.update_interval = sim::Time::from_seconds(seconds(i));
     } else if (arg == "--ttl") {
-      opt.config.riptide.ttl =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.riptide.ttl = sim::Time::from_seconds(seconds(i));
     } else if (arg == "--combiner") {
       const std::string kind = need_value(i);
       if (kind == "avg") {
@@ -204,13 +252,11 @@ Options parse(int argc, char** argv) {
       opt.config.riptide.granularity = core::Granularity::kPrefix;
       opt.config.riptide.prefix_length = 16;
     } else if (arg == "--probe-interval") {
-      opt.config.probe.interval =
-          sim::Time::from_seconds(std::atof(need_value(i)));
+      opt.config.probe.interval = sim::Time::from_seconds(seconds(i));
     } else if (arg == "--wan-loss") {
-      opt.config.topology.wan_loss_probability = std::atof(need_value(i));
+      opt.config.topology.wan_loss_probability = number(i);
     } else if (arg == "--organic") {
-      opt.config.organic_source_pops.push_back(
-          static_cast<std::size_t>(std::atoi(need_value(i))));
+      opt.config.organic_source_pops.push_back(count(i, 0, kU64));
     } else if (arg == "--pacing") {
       opt.config.topology.host_tcp.pacing = true;
     } else if (arg == "--cc") {
@@ -221,16 +267,13 @@ Options parse(int argc, char** argv) {
       opt.config.trace.enabled = true;
       opt.config.trace.export_path = need_value(i);
     } else if (arg == "--trace-ring") {
-      opt.config.trace.ring_capacity =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
-      if (opt.config.trace.ring_capacity == 0) usage();
+      opt.config.trace.ring_capacity = count(i, 1, kMaxTraceRing);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::atoi(need_value(i)));
+      opt.threads = static_cast<unsigned>(
+          count(i, 0, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--flow-traffic") {
-      const double fps = std::atof(need_value(i));
-      if (fps <= 0.0) usage();
       opt.config.flow_traffic.enabled = true;
-      opt.config.flow_traffic.model.flows_per_second = fps;
+      opt.config.flow_traffic.model.flows_per_second = number(i);
     } else if (arg == "--policy") {
       opt.policy = need_value(i);
     } else if (arg == "--hostile") {
@@ -240,23 +283,17 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--validate-only") {
       opt.validate_only = true;
     } else if (arg == "--chaos") {
-      const int n = std::atoi(need_value(i));
-      if (n <= 0) usage();
-      opt.chaos = static_cast<std::size_t>(n);
+      opt.chaos = count(i, 1, kU64);
     } else if (arg == "--chaos-seed") {
-      opt.chaos_seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      opt.chaos_seed = count(i, 0, kU64);
     } else if (arg == "--chaos-out") {
       opt.chaos_out = need_value(i);
     } else if (arg == "--repro") {
       opt.repro = need_value(i);
     } else if (arg == "--sweep-seeds") {
-      const char* p = need_value(i);
-      while (*p != '\0') {
-        char* end = nullptr;
-        opt.sweep_seeds.push_back(std::strtoull(p, &end, 10));
-        if (end == p) usage();
-        p = (*end == ',') ? end + 1 : end;
-      }
+      auto seeds = sim::read_u64_list(need_value(i));
+      if (!seeds) usage();
+      opt.sweep_seeds = std::move(*seeds);
     } else {
       usage();
     }
@@ -384,10 +421,6 @@ int main(int argc, char** argv) {
   if (opt.chaos > 0) return run_chaos_campaign(opt);
 
   const auto& all_specs = cdn::default_pop_specs();
-  if (opt.pops < 2 || opt.pops > all_specs.size()) {
-    std::fprintf(stderr, "--pops must be in [2, %zu]\n", all_specs.size());
-    return 2;
-  }
   opt.config.pop_specs.assign(all_specs.begin(),
                               all_specs.begin() +
                                   static_cast<std::ptrdiff_t>(opt.pops));
@@ -455,10 +488,18 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const auto results = runner::ParallelRunner(opt.threads)
-                           .run(runner::SweepSpec(opt.config)
-                                    .seeds(seeds)
-                                    .materialize());
+  std::vector<runner::RunResult> results;
+  try {
+    results = runner::ParallelRunner(opt.threads)
+                  .run(runner::SweepSpec(opt.config)
+                           .seeds(seeds)
+                           .materialize());
+  } catch (const std::invalid_argument& err) {
+    // The library rejects a world it cannot build (say --hosts 0 or --cmin
+    // above --cmax) with std::invalid_argument.
+    std::fprintf(stderr, "riptide_sim: %s\n", err.what());
+    return 2;
+  }
 
   for (const auto& r : results) {
     const auto* sink = r.experiment->trace_sink();

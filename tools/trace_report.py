@@ -34,10 +34,8 @@ REQUIRED_KEYS = {
     "tcp-cwnd": {"conn", "cause", "cwnd", "ssthresh", "mss"},
     # (tcp-cwnd "cause" must additionally be one of TCP_CWND_CAUSES.)
     "tcp-rto": {"conn", "rto_ns", "retries"},
-    "agent-decision": {
-        "host", "route", "samples", "combined", "folded", "final",
-        "trend_reset", "capped",
-    },
+    "agent-decision": {"host", "route", "samples", "combined", "folded",
+                       "final"},
     "agent-program": {"host", "route", "verdict", "scale", "initcwnd",
                       "initrwnd"},
     "agent-route": {"host", "route", "cause", "window"},
@@ -231,16 +229,9 @@ def route_timeline(events, route, host):
         t_ms = ev["at"] / 1e6
         prefix = "" if host else f"[{ev.get('host', '?')}] "
         if ev["kind"] == "agent-decision":
-            flags = []
-            if ev["trend_reset"]:
-                flags.append("trend-reset")
-            if ev["capped"]:
-                flags.append("capped")
-            flag_str = f" ({', '.join(flags)})" if flags else ""
             print(f"  {t_ms:>12.3f}  {'decision':<16} {prefix}"
                   f"samples={ev['samples']} combined={ev['combined']:g} "
-                  f"folded={ev['folded']:g} -> final={ev['final']:g}"
-                  f"{flag_str}")
+                  f"folded={ev['folded']:g} -> final={ev['final']:g}")
         elif ev["kind"] == "agent-program":
             print(f"  {t_ms:>12.3f}  {'program':<16} {prefix}"
                   f"{ev['verdict']} initcwnd={ev['initcwnd']} "
